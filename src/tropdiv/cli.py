@@ -8,7 +8,6 @@ JSON on stdout (DOT or text where requested); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["json", "dot", "text"],
                         default="json", dest="fmt")
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for reproducing randomized test suites")
     parser.add_argument("--max-vertices", type=int, default=24)
     parser.add_argument("--max-degree", type=int, default=64)
     parser.add_argument("--max-products", type=int, default=1_000_000)
@@ -330,8 +327,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _config(args)
-        if args.seed is not None:
-            random.seed(args.seed)
         code, payload = dispatch(args, config)
     except BudgetExceeded as exc:
         _emit({"error": "budget exceeded", "detail": str(exc)},

@@ -25,7 +25,7 @@ from .budget import DEFAULT_BUDGET
 from .errors import DegenerateCone, InputError, SizeMismatch
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
-from .intlinalg import (frac_nullspace, frac_rank, frac_solve,
+from .intlinalg import (_frac_inverse, frac_nullspace, frac_rank,
                         primitive_integer_vector, smith_normal_form)
 from .linear_systems import RgdElement, is_extremal, rgd_enumerate
 
@@ -90,16 +90,6 @@ def extreme_rays(cone):
     return sorted(rays)
 
 
-def _unimodular_inverse(U):
-    n = len(U)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = frac_solve(U, e)
-        cols.append([int(v) for v in x])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def _parallelepiped_points(rays, budget):
     """Integer points of {sum t_i r_i : t_i in [0,1)} for independent rays.
 
@@ -116,20 +106,19 @@ def _parallelepiped_points(rays, budget):
     assert all(s > 0 for s in diag), "rays must be linearly independent"
     det = prod(diag)
     budget.check_count(det, budget.max_lattice_candidates, "parallelepiped classes")
-    Uinv = _unimodular_inverse(U)
+    Uinv = [[int(a) for a in row] for row in _frac_inverse(U)]
     # coordinates on the saturated span lattice: y = first k entries of U x
     Rk = [[sum(U[i][t] * R[t][j] for t in range(d)) for j in range(k)]
           for i in range(k)]
-    Rkinv_cols = [frac_solve(Rk, [1 if i == j else 0 for i in range(k)])
-                  for j in range(k)]
+    Rkinv = _frac_inverse(Rk)
     # residue classes of Z^k modulo Rk Z^k via the Smith form of Rk
     U2, S2, _ = smith_normal_form(Rk)
     diag2 = [S2[i][i] for i in range(k)]
-    U2inv = _unimodular_inverse(U2)
+    U2inv = [[int(a) for a in row] for row in _frac_inverse(U2)]
     points = []
     for z in itertools.product(*(range(s) for s in diag2)):
         c = [sum(U2inv[i][t] * z[t] for t in range(k)) for i in range(k)]
-        t0 = [sum(Rkinv_cols[j][i] * c[j] for j in range(k)) for i in range(k)]
+        t0 = [sum(Rkinv[i][j] * c[j] for j in range(k)) for i in range(k)]
         fl = [floor(t) for t in t0]
         y = [c[i] - sum(Rk[i][t] * fl[t] for t in range(k)) for i in range(k)]
         x = tuple(sum(Uinv[i][t] * y[t] for t in range(k)) for i in range(d))

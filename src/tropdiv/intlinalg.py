@@ -106,7 +106,14 @@ def smith_normal_form(A):
 
 
 class SmithSolver:
-    """Caches the Smith form of an integer matrix to answer Ax = b queries."""
+    """Caches the Smith form of an integer matrix to answer Ax = b queries.
+
+    With U A V = S, b lies in the image of A exactly when U b is divisible
+    entrywise by the diagonal of S (a zero entry must meet a zero).  Rows of
+    U whose invariant factor is 1 impose nothing, so ``cokernel_rows`` keeps
+    the others as (row, modulus) pairs, the modulus being the invariant
+    factor, or 0 for the rows past the rank.
+    """
 
     def __init__(self, A):
         self.m = len(A)
@@ -114,82 +121,69 @@ class SmithSolver:
         self.U, S, self.V = smith_normal_form(A)
         self.diag = [S[i][i] for i in range(min(self.m, self.n))]
         self.rank = sum(1 for d in self.diag if d != 0)
+        moduli = self.diag[:self.rank] + [0] * (self.m - self.rank)
+        self.cokernel_rows = tuple((self.U[i], d) for i, d in enumerate(moduli) if d != 1)
+
+    def in_image(self, b):
+        """Whether A x = b has an integer solution."""
+        if len(b) != self.m:
+            raise ValueError("right-hand side has wrong length")
+        for row, d in self.cokernel_rows:
+            c = sum(a * x for a, x in zip(row, b))
+            if (c % d if d else c) != 0:
+                return False
+        return True
 
     def solve(self, b):
         """Return integer x with A x = b, or None when no integer solution exists."""
-        if len(b) != self.m:
-            raise ValueError("right-hand side has wrong length")
-        c = mat_vec(self.U, b)
-        y = [0] * self.n
-        for i in range(self.m):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % d != 0:
-                    return None
-                y[i] = c[i] // d
-        return mat_vec(self.V, y)
-
-    def in_image(self, b):
-        return self.solve(b) is not None
+        if not self.in_image(b):
+            return None
+        y = [c // d for c, d in zip(mat_vec(self.U[:self.rank], b), self.diag)]
+        return mat_vec(self.V, y + [0] * (self.n - self.rank))
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over the rationals, pivoting in the first ncols columns.
+
+    Returns (M, pivots): M is the reduced copy of rows as Fractions, in which
+    row r < len(pivots) has a 1 in column pivots[r] and every other row a 0
+    there, and the rows past len(pivots) vanish in the first ncols columns.
+    Columns past ncols (an augmented right-hand side) are carried along.
+    """
+    M = [[Fraction(x) for x in row] for row in rows]
+    m = len(M)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [a * inv for a in M[r]]
+        for i in range(m):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+    return M, pivots
 
 
 def frac_rank(rows):
     """Rank of a matrix over the rationals (Gaussian elimination, exact)."""
-    A = frac_matrix(rows)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = next((i for i in range(rank, m) if A[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][col]
-        A[rank] = [a * inv for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 def frac_nullspace(rows, n):
     """Basis of {x : A x = 0} over the rationals; rows may be empty."""
-    A = frac_matrix(rows) if rows else []
-    m = len(A)
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][col]
-        A[rank] = [a * inv for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[rank])]
-        pivots.append(col)
-        rank += 1
+    M, pivots = _gauss_jordan(rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -A[r][fc]
+            v[pc] = -M[r][fc]
         basis.append(v)
     return basis
 
@@ -214,28 +208,19 @@ def frac_solve(A, b):
 
     A square or rectangular; returns one solution with free variables at 0.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(A, b)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][col]
-        M[rank] = [a * inv for a in M[rank]]
-        for i in range(m):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b2 for a, b2 in zip(M[i], M[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if M[i][n] != 0:
-            return None
+    n = len(A[0]) if A else 0
+    M, pivots = _gauss_jordan([list(row) + [bb] for row, bb in zip(A, b)], n)
+    if any(row[n] != 0 for row in M[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
         x[pc] = M[r][n]
     return x
+
+
+def _frac_inverse(A):
+    """Inverse of an invertible square matrix: one elimination of [A | I]."""
+    k = len(A)
+    M, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(k)]
+                          for i, row in enumerate(A)], k)
+    return [row[k:] for row in M]

@@ -15,11 +15,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .budget import DEFAULT_BUDGET
 from .errors import EmptyOrFullSubset, InputError, NotMember, SizeMismatch
-from .graphs import Divisor, RationalFunction, ord_and_div
+from .graphs import RationalFunction, ord_and_div
 
 
 def oplus(f, g):
@@ -65,16 +63,9 @@ def rgd_member(graph, divisor, f):
 
 
 def _effective_divisor_matrix(n, d):
-    """All effective divisors of degree d on n vertices, as an integer matrix."""
-    if d == 0:
-        return np.zeros((1, n), dtype=np.int64)
-    count = comb(n + d - 1, d)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
-        dtype=np.int64, count=count * d).reshape(count, d)
-    offsets = np.arange(count, dtype=np.int64)[:, None] * n
-    mat = np.bincount((flat + offsets).ravel(), minlength=count * n).reshape(count, n)
-    return mat.astype(np.int64)
+    """All effective divisors of degree d on n vertices, each as the sorted
+    tuple of the vertices carrying its d chips."""
+    return list(itertools.combinations_with_replacement(range(n), d))
 
 
 def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
@@ -96,38 +87,32 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     # which for a connected graph is exactly corank 1 of the Laplacian
     assert solver.rank == n - 1, "Laplacian corank != 1; graph not connected?"
 
-    count = comb(n + d - 1, d) if d > 0 else 1
-    budget.check_count(count, budget.max_lattice_candidates, "lattice candidates")
+    budget.check_count(comb(n + d - 1, d), budget.max_lattice_candidates,
+                       "lattice candidates")
 
-    emat = _effective_divisor_matrix(n, d)
-    max_u = max(abs(int(x)) for row in solver.U for x in row)
-    max_b = d + max(abs(c) for c in divisor.coeffs)
-    if max_u * max_b * n < 2 ** 62:  # no int64 overflow possible
-        u_np = np.array(solver.U, dtype=np.int64)
-        emat_t = emat
-    else:
-        u_np = np.array(solver.U, dtype=object)
-        emat_t = emat.astype(object)
-    dvec = np.array(divisor.coeffs, dtype=u_np.dtype)
-    target = emat_t @ u_np.T - u_np @ dvec
-
-    mask = np.ones(count, dtype=bool)
-    for i in range(n):
-        di = solver.diag[i] if i < len(solver.diag) else 0
-        col = target[:, i]
-        if di == 0:
-            mask &= (col == 0)
-        else:
-            mask &= (col % di == 0)
-
+    # E ~ D iff E - D lies in the image of the Laplacian, which the solver's
+    # cokernel rows decide; a row's value on E is the sum of its entries at
+    # E's chips.  Larger moduli reject more candidates, so they go first; the
+    # modulus-0 row of a connected graph's Laplacian only compares degrees.
+    checks = []
+    for row, mod in sorted(solver.cokernel_rows, key=lambda rm: (rm[1] == 0, -rm[1])):
+        target = sum(a * c for a, c in zip(row, divisor.coeffs))
+        checks.append((row, mod, target % mod if mod else target))
     out = []
-    for row in emat[mask]:
-        e = Divisor(tuple(int(x) for x in row))
-        x = solver.solve([a - b for a, b in zip(e.coeffs, divisor.coeffs)])
-        assert x is not None
-        f = RationalFunction(tuple(x)).normalized()
-        assert rgd_member(graph, divisor, f)
-        out.append(RgdElement(degree, f))
+    for combo in _effective_divisor_matrix(n, d):
+        for row, mod, target in checks:
+            value = sum(map(row.__getitem__, combo))
+            if (value % mod if mod else value) != target:
+                break
+        else:
+            coeffs = [0] * n
+            for v in combo:
+                coeffs[v] += 1
+            x = solver.solve([a - b for a, b in zip(coeffs, divisor.coeffs)])
+            assert x is not None
+            f = RationalFunction(tuple(x)).normalized()
+            assert rgd_member(graph, divisor, f)
+            out.append(RgdElement(degree, f))
     return tuple(sorted(out))
 
 

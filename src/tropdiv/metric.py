@@ -268,7 +268,7 @@ class PLFunction:
                 and self.graph == other.graph and self.segs == other.segs)
 
     def __hash__(self):
-        return hash((id(self.graph.model), self.segs))
+        return hash((self.graph, self.segs))
 
     def __repr__(self):
         return f"PLFunction({self.segs!r})"

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -191,6 +193,17 @@ def test_budget_exit_code(tmp_path, theta_file):
     assert code == 3
     data = json.loads((tmp_path / "out.json").read_text())
     assert data["error"] == "budget exceeded"
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is a test-only dependency; the package must not import it
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tropdiv, tropdiv.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point(tmp_path, theta_file):

@@ -1,0 +1,123 @@
+import itertools
+from fractions import Fraction
+from math import gcd
+
+from tropdiv.intlinalg import (SmithSolver, _frac_inverse, frac_nullspace,
+                               frac_rank, frac_solve, mat_vec, smith_normal_form)
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def random_matrix(rng, m, n, lo=-4, hi=4):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def random_matrices(rng, count=60):
+    """Rectangular integer matrices, a third of them rank-deficient products."""
+    out = []
+    for i in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        if i % 3 == 0:
+            r = rng.randint(0, min(m, n) - 1)
+            out.append(mat_mul(random_matrix(rng, m, r, -2, 2),
+                               random_matrix(rng, r, n, -2, 2))
+                       if r else [[0] * n for _ in range(m)])
+        else:
+            out.append(random_matrix(rng, m, n))
+    return out
+
+
+def det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def minor_gcd(A, r):
+    """gcd of the r x r minors: the covolume of the column lattice of a rank-r A."""
+    g = 0
+    for rows in itertools.combinations(range(len(A)), r):
+        for cols in itertools.combinations(range(len(A[0])), r):
+            g = gcd(g, det([[A[i][j] for j in cols] for i in rows]))
+    return g
+
+
+def in_column_lattice(A, b):
+    """Independent oracle: b is an integer combination of A's columns iff
+    appending b changes neither the rank nor the gcd of the maximal minors."""
+    Ab = [row + [x] for row, x in zip(A, b)]
+    r = frac_rank(A)
+    return frac_rank(Ab) == r and minor_gcd(A, r) == minor_gcd(Ab, r)
+
+
+def test_smith_normal_form_invariants(rng):
+    for A in random_matrices(rng):
+        m, n = len(A), len(A[0])
+        U, S, V = smith_normal_form(A)
+        assert mat_mul(mat_mul(U, A), V) == S
+        assert abs(det(U)) == 1 and abs(det(V)) == 1
+        diag = [S[i][i] for i in range(min(m, n))]
+        assert all(S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        assert all(x >= 0 for x in diag)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+
+
+def test_image_test_agrees_with_solve_and_lattice_oracle(rng):
+    seen = set()
+    for A in random_matrices(rng):
+        m, n = len(A), len(A[0])
+        solver = SmithSolver(A)
+        assert all(d != 1 for _, d in solver.cokernel_rows)
+        for _ in range(6):
+            b = mat_vec(A, [rng.randint(-3, 3) for _ in range(n)])
+            if rng.random() < 0.5:
+                b[rng.randrange(m)] += rng.randint(1, 3)
+            member = solver.in_image(b)
+            x = solver.solve(b)
+            assert member == (x is not None) == in_column_lattice(A, b)
+            if x is not None:
+                assert mat_vec(A, x) == b
+            seen.add(member)
+    assert seen == {True, False}
+
+
+def test_frac_rank_nullity(rng):
+    for A in random_matrices(rng):
+        n = len(A[0])
+        null = frac_nullspace(A, n)
+        assert frac_rank(A) + len(null) == n
+        assert frac_rank(null) == len(null)
+        for v in null:
+            assert all(x == 0 for x in mat_vec(A, v))
+    assert frac_rank([]) == 0
+    assert frac_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_frac_solve(rng):
+    seen = set()
+    for A in random_matrices(rng):
+        m, n = len(A), len(A[0])
+        b = mat_vec(A, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
+        if rng.random() < 0.5:
+            b[rng.randrange(m)] += 1
+        x = frac_solve(A, b)
+        consistent = frac_rank([row + [y] for row, y in zip(A, b)]) == frac_rank(A)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert mat_vec(A, x) == b
+        seen.add(consistent)
+    assert seen == {True, False}
+    assert frac_solve([[1, 2], [2, 4]], [1, 3]) is None
+
+
+def test_frac_inverse(rng):
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        A = random_matrix(rng, k, k)
+        if det(A) == 0:
+            continue
+        identity = [[int(i == j) for j in range(k)] for i in range(k)]
+        assert mat_mul(A, _frac_inverse(A)) == identity

@@ -1,6 +1,7 @@
 import pytest
 
 from tropdiv.errors import EmptyOrFullSubset, NotMember
+from tropdiv.generators import build_gn
 from tropdiv.graphs import Divisor, RationalFunction, build_graph, canonical_divisor, ord_and_div
 from tropdiv.linear_systems import (
     can_fire, extremals, firing_subsets, is_extremal, odot, oplus,
@@ -49,6 +50,21 @@ def test_rgd_matches_box_oracle_random(rng):
         g = random_multigraph(rng, max_vertices=4, max_extra=3)
         d = Divisor(tuple(rng.randint(-1, 2) for _ in range(g.vertex_count)))
         assert reps(rgd_enumerate(g, d)) == set(rgd_box_enumerate(g, d))
+
+
+def test_rgd_translates_by_huge_principal_divisor(rng, k4):
+    # R(G, D + div(h)) = R(G, D) - h; with h near 2**70 the coefficients of
+    # D + div(h) and their images under the Smith transform exceed 64 bits
+    for g in (k4, build_gn(2)[0]):
+        d = 2 * canonical_divisor(g)
+        h = RationalFunction(tuple(rng.randint(-2 ** 70, 2 ** 70)
+                                   for _ in range(g.vertex_count)))
+        shifted = d + ord_and_div(g, h)
+        assert max(abs(c) for c in shifted.coeffs) > 2 ** 63
+        expected = {RationalFunction(tuple(a - b for a, b in zip(el.function.values, h.values)))
+                    .normalized().values for el in rgd_enumerate(g, d, degree=2)}
+        assert len(expected) > 1
+        assert reps(rgd_enumerate(g, shifted, degree=2)) == expected
 
 
 def test_can_fire_theta():

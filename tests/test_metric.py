@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from tropdiv.metric import (
     can_fire_metric, canonical_divisor_metric, cf_move,
     components_of_complement, is_extremal_metric, linear_equiv_metric,
     metric_firing_subgraphs, refine, rgd_member_metric)
+from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
 
 
 @pytest.fixture
@@ -110,6 +112,15 @@ def test_cycle_slopes_two_ways(mk4):
     dd = ord_and_div(g, RationalFunction((0, 1, 2, 0)))
     for i in range(4):
         assert d.coeff(Point.vertex(i)) == dd.coeffs[i]
+
+
+def test_equal_functions_on_equal_graphs_hash_alike(mtheta):
+    data = dumps(metric_graph_to_json(mtheta))
+    ga, gb = (metric_graph_from_json(json.loads(data)) for _ in range(2))
+    assert ga == gb and ga.model is not gb.model
+    fa, fb = tent(ga), tent(gb)
+    assert fa == fb
+    assert len({fa, fb}) == 1
 
 
 def test_invalid_pl_rejected(mtheta):
