@@ -8,10 +8,10 @@ finite generating set exists (Z-metric graphs).
 """
 
 from .budget import Budget, DEFAULT_BUDGET
-from .errors import (BudgetExceeded, DegenerateCone, DegreeOverflow,
-                     Disconnected, EmptyOrFullSubset, EmptySubgraph,
-                     HypothesisFailure, IndexOutOfRange, InputError,
-                     InvalidPL, NonIntegralRefinement, NotMember,
+from .errors import (BudgetExceeded, CertificateError, DegenerateCone,
+                     DegreeOverflow, Disconnected, EmptyOrFullSubset,
+                     EmptySubgraph, HypothesisFailure, IndexOutOfRange,
+                     InputError, InvalidPL, NonIntegralRefinement, NotMember,
                      SizeMismatch, TropdivError)
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, genus, linear_equiv, ord_and_div)

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 computed/verified, 1 verified-false (an asked-for property
-does not hold), 2 input error, 3 budget exceeded.  Output is deterministic
-JSON on stdout (DOT or text where requested); diagnostics go to stderr.
+does not hold, or a certificate's proof leg failed with CertificateError),
+2 input error, 3 budget exceeded.  Output is deterministic JSON on stdout
+(DOT or text where requested); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import sys
 from dataclasses import dataclass
 
 from .budget import Budget
-from .errors import BudgetExceeded, HypothesisFailure, InputError, TropdivError
+from .errors import (BudgetExceeded, CertificateError, HypothesisFailure,
+                     InputError, TropdivError)
 from .generators import decompose, graded_cone, hilbert_basis, certify_basis, verify_gn
 from .graphs import canonical_divisor
 from .linear_systems import RgdElement, extremals, rgd_enumerate
@@ -244,7 +246,7 @@ def dispatch(args, config):
     if cmd == "verify-gn":
         try:
             report = verify_gn(args.n, budget)
-        except AssertionError as exc:
+        except CertificateError as exc:
             return 1, {"command": "verify-gn", "n": args.n,
                        "verified": False, "error": str(exc)}
         report = dict(report)
@@ -332,9 +334,9 @@ def main(argv=None):
         _emit({"error": "budget exceeded", "detail": str(exc)},
               Config(Budget(), "json", getattr(args, "output", None)))
         return 3
-    except InputError as exc:
+    except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except TropdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

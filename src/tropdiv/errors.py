@@ -49,6 +49,10 @@ class HypothesisFailure(TropdivError):
     """A pipeline was run on an instance whose hypotheses do not hold."""
 
 
+class CertificateError(TropdivError):
+    """A proof leg of a certificate failed its check: the claim does not hold."""
+
+
 class BudgetExceeded(TropdivError):
     """A configured search budget (vertices, degrees, product count) was exceeded."""
 

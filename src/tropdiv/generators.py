@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor, prod
+from math import comb, floor, prod
 
 from .budget import DEFAULT_BUDGET
-from .errors import DegenerateCone, InputError, SizeMismatch
+from .errors import (CertificateError, DegenerateCone, InputError,
+                     SizeMismatch)
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
 from .intlinalg import (_frac_inverse, frac_nullspace, frac_rank,
@@ -148,11 +149,14 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     """Irreducible generators of the lattice-point monoid of the cone.
 
     Candidates are the primitive extreme rays together with the fundamental
-    parallelepiped points of every full-rank ray subset; by the conic
+    parallelepiped points of every independent ray subset; by the conic
     version of Caratheodory plus division with remainder along rays, those
     candidates generate, so filtering to irreducibles yields the full
-    Hilbert basis.  A cone that is just the height axis has only constant
-    sections at every degree and returns an empty generator list.
+    Hilbert basis.  Only subsets of the span's rank are walked: every
+    independent subset extends to one of them, whose parallelepiped holds
+    its own (the extra coefficients set to 0).  A cone that is just the
+    height axis has only constant sections at every degree and returns an
+    empty generator list.
     """
     d = cone.dim
     rays = extreme_rays(cone)
@@ -162,15 +166,10 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
 
     candidates = set(rays)
     span_rank = frac_rank(rays)
-    subsets = []
-    for size in range(2, span_rank + 1):
-        subsets.extend(itertools.combinations(range(len(rays)), size))
-    budget.check_count(len(subsets), budget.max_products, "ray subsets")
-    for subset in subsets:
-        chosen = [rays[i] for i in subset]
-        if frac_rank(chosen) != len(chosen):
-            continue
-        candidates.update(_parallelepiped_points(chosen, budget))
+    budget.check_count(comb(len(rays), span_rank), budget.max_products, "ray subsets")
+    for subset in itertools.combinations(rays, span_rank):
+        if frac_rank(subset) == span_rank:
+            candidates.update(_parallelepiped_points(subset, budget))
 
     ordered = sorted(candidates, key=lambda y: (y[-1], y))
     basis = []
@@ -226,8 +225,8 @@ def monoid_certificate(cone, target_slice, basis_slices):
 def certify_basis(basis, m_max, budget=DEFAULT_BUDGET):
     """Check every element of R(G, mD) for m <= m_max against the basis.
 
-    Returns {m: number of elements certified}; raises if any element fails,
-    since that would disprove completeness of the claimed basis.
+    Returns {m: number of elements certified}; raises CertificateError if
+    any element fails, since that would disprove completeness of the basis.
     """
     cone = graded_cone(basis.graph, basis.divisor)
     slices = [cone.element_to_slice(el) for el in basis.elements]
@@ -235,14 +234,12 @@ def certify_basis(basis, m_max, budget=DEFAULT_BUDGET):
     for m in range(1, m_max + 1):
         elements = rgd_enumerate(basis.graph, m * basis.divisor, degree=m, budget=budget)
         for el in elements:
-            cert = monoid_certificate(cone, cone.element_to_slice(el), slices)
-            if cert is None:
-                raise AssertionError(
+            y = cone.element_to_slice(el)
+            cert = monoid_certificate(cone, y, slices)
+            replay = cert and tuple(map(sum, zip(*(slices[i] for i in cert))))
+            if replay != y:
+                raise CertificateError(
                     f"element {el} of degree {m} has no product certificate")
-            total = [0] * cone.dim
-            for i in cert:
-                total = [a + b for a, b in zip(total, slices[i])]
-            assert tuple(total) == cone.element_to_slice(el)
         report[m] = len(elements)
     return report
 
@@ -355,8 +352,8 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     if uncovered:
         return GenerationCertificate(target, False, (), checked, bound)
     cert = GenerationCertificate(target, True, tuple(terms), checked, bound)
-    replay = cert.evaluate(usable)
-    assert replay is not None and replay.values == fvals, "certificate must replay"
+    if cert.evaluate(usable).values != fvals:
+        raise CertificateError("generation certificate does not replay")
     return cert
 
 
@@ -436,18 +433,18 @@ def verify_gn(n, budget=DEFAULT_BUDGET):
     target = Divisor.of(graph.vertex_count, {p: 1, r: 2 * n - 1})
     witness = linear_equiv(graph, target, n * k_div)
     if witness is None:
-        raise AssertionError("witness equivalence failed")
+        raise CertificateError("witness equivalence failed")
 
     extremal = is_extremal(graph, n * k_div, witness, budget)
     if not extremal:
-        raise AssertionError("witness is not extremal")
+        raise CertificateError("witness is not extremal")
 
     gens = []
     for m in range(1, n):
         gens.extend(rgd_enumerate(graph, m * k_div, degree=m, budget=budget))
     cert = decompose(RgdElement(n, witness.normalized()), gens, budget)
     if cert.generated:
-        raise AssertionError("witness unexpectedly generated below degree n")
+        raise CertificateError("witness unexpectedly generated below degree n")
 
     obstruction = _gn_obstruction_cross_check(graph, roles, k_div, n, budget)
 
@@ -479,15 +476,15 @@ def _gn_obstruction_cross_check(graph, roles, k_div, n, budget):
     for k in list(range(1, n)) + [2 * n - 1]:
         target = Divisor.of(graph.vertex_count, {r: 2 * k})
         h = linear_equiv(graph, target, k * k_div)
-        solvable = h is not None
-        if solvable:
+        if h is not None:
             hv = h.values
             lhs1 = hv[p] - hv[q]
             rhs1 = k + (2 * n - 1) * (hv[u] + hv[w] - 2 * hv[p])
             rhs2 = (2 * n - 1) * (hv[p] - hv[u])
-            assert lhs1 == rhs1 and lhs1 == rhs2
-            assert k == (2 * n - 1) * (3 * hv[p] - 2 * hv[u] - hv[w])
-            assert k % (2 * n - 1) == 0
-        rows[k] = solvable
-    assert not any(rows[k] for k in range(1, n))
+            if not (lhs1 == rhs1 == rhs2
+                    and k == (2 * n - 1) * (3 * hv[p] - 2 * hv[u] - hv[w])):
+                raise CertificateError(f"integrality identity fails at k = {k}")
+        rows[k] = h is not None
+    if any(rows[k] for k in range(1, n)):
+        raise CertificateError("k*K ~ 2k[r] is solvable below degree n")
     return rows

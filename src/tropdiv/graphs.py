@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import Disconnected, IndexOutOfRange, InputError, SizeMismatch
+from .errors import (CertificateError, Disconnected, IndexOutOfRange,
+                     InputError, SizeMismatch)
 from .intlinalg import SmithSolver
 
 
@@ -258,5 +259,6 @@ def linear_equiv(graph, d1, d2):
     if x is None:
         return None
     f = RationalFunction(tuple(x)).normalized()
-    assert ord_and_div(graph, f) == d1 - d2
+    if ord_and_div(graph, f) != d1 - d2:
+        raise CertificateError("Laplacian solve does not replay d1 - d2")
     return f

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .budget import DEFAULT_BUDGET
-from .errors import (EmptySubgraph, InputError, InvalidPL,
+from .errors import (CertificateError, EmptySubgraph, InputError, InvalidPL,
                      NonIntegralRefinement, NotMember, SizeMismatch)
 from .graphs import Divisor, FiniteGraph, RationalFunction, build_graph
 from .graphs import linear_equiv as graph_linear_equiv
@@ -279,12 +279,7 @@ class PLFunction:
     def value_at(self, p):
         if p.is_vertex:
             return self._vertex_values[p.index]
-        bps = self.segs[p.index]
-        for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
-            if o1 <= p.offset <= o2:
-                s = (v2 - v1) / (o2 - o1)
-                return v1 + s * (p.offset - o1)
-        raise InputError("point outside edge")
+        return self._eval_edge(p.index, p.offset)
 
     def min_value(self):
         return min(v for bps in self.segs for _, v in bps)
@@ -496,18 +491,31 @@ class Refinement:
                 values[self._grid[(e, j)]] = int(val)
         return RationalFunction(tuple(values))
 
+    def linear_equiv(self, d1, d2):
+        """Witness f with div(f) = D1 - D2 for divisors on the grid, or None;
+        all queries share the one Smith form of the refined Laplacian."""
+        if d1.graph != self.base or d2.graph != self.base:
+            raise SizeMismatch("divisors on a different metric graph")
+        g = graph_linear_equiv(self.graph, self.divisor_to_graph(d1),
+                               self.divisor_to_graph(d2))
+        if g is None:
+            return None
+        f = self.function_from_graph(g).normalized()
+        if f.div() != d1 - d2:
+            raise CertificateError("refined witness does not replay D1 - D2")
+        return f
+
 
 def refine(graph, q):
     return Refinement(graph, q)
 
 
-def _support_lcm(divisors):
-    denoms = [1]
-    for d in divisors:
-        for p, _ in d.items:
-            if not p.is_vertex:
-                denoms.append(p.offset.denominator)
-    return lcm(*denoms)
+def grid_refinement(graph, divisors):
+    """Refinement whose 1/q grid holds the vertices and every support point
+    (q: lcm of the edge-length and support-offset denominators)."""
+    return Refinement(graph, lcm(*(x.denominator for x in graph.lengths),
+                                 *(p.offset.denominator
+                                   for d in divisors for p, _ in d.items)))
 
 
 def linear_equiv_metric(graph, d1, d2):
@@ -523,15 +531,7 @@ def linear_equiv_metric(graph, d1, d2):
         raise SizeMismatch("divisors on a different metric graph")
     if d1.degree() != d2.degree():
         return None
-    q = lcm(_support_lcm([d1, d2]), *(x.denominator for x in graph.lengths))
-    ref = Refinement(graph, q)
-    g = graph_linear_equiv(ref.graph, ref.divisor_to_graph(d1),
-                           ref.divisor_to_graph(d2))
-    if g is None:
-        return None
-    f = ref.function_from_graph(g).normalized()
-    assert f.div() == d1 - d2
-    return f
+    return grid_refinement(graph, [d1, d2]).linear_equiv(d1, d2)
 
 
 # -- metric subgraphs and chip firing ------------------------------------------

@@ -9,23 +9,24 @@ unbounded in s, no finite generating set exists.
 The indecomposability leg is decided directly: a product decomposition of
 the witness would force k*D ~ kd[r] for some 1 <= k <= 2sL-1, where r is a
 non-integral point; every such equivalence is refuted by an exact solve on
-a refined model.  Solvability of k*D ~ kd[r] also forces an integrality
-constraint that makes k a multiple of 2LN-1 > 2sL-1, which is asserted
-whenever a solvable degree is encountered.
+one refined model shared by all rows.  Solvability of k*D ~ kd[r] also
+forces an integrality constraint that makes k a multiple of 2LN-1 > 2sL-1,
+which is checked whenever a solvable degree is encountered.  Every failed
+proof leg raises CertificateError; no claim is recorded unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
 
 from .budget import DEFAULT_BUDGET
-from .errors import HypothesisFailure, InputError
+from .errors import CertificateError, HypothesisFailure, InputError
 from .graphs import build_graph
 from .metric import (MetricDivisor, MetricGraph, PLFunction, Point,
-                     canonical_divisor_metric, is_extremal_metric,
-                     linear_equiv_metric)
+                     canonical_divisor_metric, grid_refinement,
+                     is_extremal_metric, linear_equiv_metric)
 
 
 @dataclass(frozen=True)
@@ -61,26 +62,50 @@ class WitnessInstance:
         entries[Point.vertex(self.q)] = entries.get(Point.vertex(self.q), 0) + coeff
         return MetricDivisor.of(self.graph, entries)
 
+    @cached_property
+    def hypotheses(self):
+        """Each hypothesis, with the equivalence witness; decided once."""
+        checks = {}
+        checks["z_metric"] = self.graph.zflag
+        checks["z_divisor"] = self.divisor.is_z_divisor()
+        checks["genus_ge_2"] = self.genus >= 2
+        checks["degree_ge_2"] = self.d >= 2
+        checks["edge_not_bridge"] = self.edge not in self.graph.model.bridges
+        checks["nd_even"] = (self.n * self.d) % 2 == 0
+        witness = None
+        if checks["nd_even"]:
+            half = self.endpoints_divisor(self.n * self.d // 2)
+            witness = linear_equiv_metric(self.graph, half, self.n * self.divisor)
+        checks["endpoint_equivalence"] = witness is not None
+        return {
+            "checks": checks,
+            "all_pass": all(checks.values()),
+            "equivalence_witness": witness,
+        }
+
 
 def check_hypotheses(inst):
-    """Each hypothesis individually, with the equivalence witness attached."""
-    checks = {}
-    checks["z_metric"] = inst.graph.zflag
-    checks["z_divisor"] = inst.divisor.is_z_divisor()
-    checks["genus_ge_2"] = inst.genus >= 2
-    checks["degree_ge_2"] = inst.d >= 2
-    checks["edge_not_bridge"] = inst.edge not in inst.graph.model.bridges
-    checks["nd_even"] = (inst.n * inst.d) % 2 == 0
-    witness = None
-    if checks["nd_even"]:
-        half = inst.endpoints_divisor(inst.n * inst.d // 2)
-        witness = linear_equiv_metric(inst.graph, half, inst.n * inst.divisor)
-    checks["endpoint_equivalence"] = witness is not None
-    return {
-        "checks": checks,
-        "all_pass": all(checks.values()),
-        "equivalence_witness": witness,
-    }
+    """The instance's hypothesis report (computed on first use)."""
+    return inst.hypotheses
+
+
+def _geometry(inst, s):
+    """(L, N, 2LN-1, r, 2sL) for multiplier s; r sits at L*LN/(2LN-1) on e."""
+    if s < 1 or s % inst.n != 0:
+        raise InputError("s must be a positive multiple of n")
+    if inst.length.denominator != 1:
+        raise HypothesisFailure("edge length must be an integer")
+    big_l, big_n = int(inst.length), s * inst.d
+    denom = 2 * big_l * big_n - 1
+    r = inst.graph.point(inst.edge, Fraction(big_l * big_n * big_l, denom))
+    return big_l, big_n, denom, r, 2 * s * big_l
+
+
+def _prove(claims, leg, holds):
+    """Record a proof leg; one that fails voids the whole certificate."""
+    if not holds:
+        raise CertificateError(f"proof leg failed: {leg}")
+    claims[leg] = holds
 
 
 @dataclass(frozen=True)
@@ -95,74 +120,50 @@ class WitnessResult:
     claims: dict
 
 
-def build_witness(inst, s, hypothesis_witness=None, budget=DEFAULT_BUDGET):
+def build_witness(inst, s, budget=DEFAULT_BUDGET):
     """Construct the extremal witness f with 2sL*D + div(f) = [p] + (2LN-1)[r].
 
     The tent function ftilde vanishes off e and dips to
     -L*LN(LN-1)/(2LN-1) at r, placed at offset L*LN/(2LN-1) from p; its two
     slopes are -(LN-1) and LN, so LN[p] + LN[q] + div(ftilde) collapses to
-    [p] + (2LN-1)[r].  Composing with the 2L-th tropical power of the
-    endpoint-equivalence witness lands the target divisor exactly.  All
-    stated order values and the extremality of f are asserted, not assumed.
+    [p] + (2LN-1)[r].  The endpoint-equivalence witness for n, raised to the
+    tropical power s/n, solves s*D ~ (N/2)([p]+[q]); composing its 2L-th
+    power with ftilde lands the target divisor exactly.  Every claim is the
+    outcome of a check run here; a failed check raises CertificateError.
     """
     report = check_hypotheses(inst)
     if not report["all_pass"]:
         failed = [k for k, v in report["checks"].items() if not v]
         raise HypothesisFailure(f"hypotheses failed: {', '.join(failed)}")
-    if s < 1 or s % inst.n != 0:
-        raise InputError("s must be a positive multiple of n")
-    length = inst.length
-    if length.denominator != 1:
-        raise HypothesisFailure("edge length must be an integer")
-    big_l = int(length)
-    big_n = s * inst.d
-    denom = 2 * big_l * big_n - 1
-    r = inst.graph.point(inst.edge, Fraction(big_l * big_n * big_l, denom))
-    assert not r.is_vertex
-    assert gcd(big_l * big_n, denom) == 1
-    assert not inst.graph.is_z_point(r)
+    big_l, big_n, denom, r, degree = _geometry(inst, s)
+    claims = {}
+    _prove(claims, "r_not_z_point", not inst.graph.is_z_point(r))
 
     dip = -Fraction(big_l * big_n * (big_l * big_n - 1), denom) * big_l
     ftilde = PLFunction.from_vertex_values(
         inst.graph, [0] * inst.graph.model.vertex_count,
         interior={inst.edge: [(r.offset, dip)]})
-
-    target = MetricDivisor.of(inst.graph, {Point.vertex(inst.p): 1}) + \
-        MetricDivisor.of(inst.graph, {r: denom})
-    assert inst.endpoints_divisor(big_l * big_n) + ftilde.div() == target
+    target = MetricDivisor.of(inst.graph, {Point.vertex(inst.p): 1, r: denom})
+    _prove(claims, "target_divisor",
+           inst.endpoints_divisor(big_l * big_n) + ftilde.div() == target)
 
     order_triple = None
+    p = Point.vertex(inst.p)
     if inst.p != inst.q:
-        order_triple = (ftilde.ord_at(Point.vertex(inst.p)),
-                        ftilde.ord_at(Point.vertex(inst.q)),
+        order_triple = (ftilde.ord_at(p), ftilde.ord_at(Point.vertex(inst.q)),
                         ftilde.ord_at(r))
-        assert order_triple == (-(big_l * big_n - 1), -big_l * big_n, denom)
+        orders = order_triple == (-(big_l * big_n - 1), -big_l * big_n, denom)
     else:
-        assert ftilde.ord_at(Point.vertex(inst.p)) == -(2 * big_l * big_n - 1)
-        assert ftilde.ord_at(r) == denom
+        orders = (ftilde.ord_at(p), ftilde.ord_at(r)) == (-denom, denom)
+    _prove(claims, "orders_match", orders)
 
-    half = inst.endpoints_divisor(big_n // 2)
-    if hypothesis_witness is None:
-        w = linear_equiv_metric(inst.graph, half, s * inst.divisor)
-        assert w is not None
-    else:
-        w = hypothesis_witness
-        if w.div() != half - s * inst.divisor:
-            raise InputError("supplied witness does not solve s*D ~ (N/2)([p]+[q])")
-
+    w = report["equivalence_witness"].power(s // inst.n)
+    _prove(claims, "target_divisor",
+           w.div() == inst.endpoints_divisor(big_n // 2) - s * inst.divisor)
     f = w.power(2 * big_l).odot(ftilde)
-    degree = 2 * s * big_l
-    assert degree * inst.divisor + f.div() == target
-
-    extremal = is_extremal_metric(inst.graph, degree * inst.divisor, f, budget)
-    assert extremal, "constructed witness must be extremal"
-
-    claims = {
-        "target_divisor": True,
-        "orders_match": True,
-        "extremal": True,
-        "r_not_z_point": True,
-    }
+    _prove(claims, "target_divisor", degree * inst.divisor + f.div() == target)
+    _prove(claims, "extremal",
+           is_extremal_metric(inst.graph, degree * inst.divisor, f, budget))
     return WitnessResult(s=s, big_n=big_n, r=r, ftilde=ftilde, f=f,
                          degree=degree, order_triple=order_triple, claims=claims)
 
@@ -175,30 +176,26 @@ def indecomposability_check(inst, s, budget=DEFAULT_BUDGET):
     which is out of range.  The direct per-k solve is run anyway: all rows
     1..2sL-1 must be inequivalent.  The first admissible degree 2LN-1 is
     reported as an informational row (divisibility is necessary, not
-    sufficient), and any solvable row must pass the divisibility assertion.
+    sufficient), and any solvable row must pass the divisibility check.
+    Every row has support {r} and supp D, so one refined model (and one
+    Smith form of its Laplacian) decides them all.
     """
-    big_l = int(inst.length)
-    big_n = s * inst.d
-    denom = 2 * big_l * big_n - 1
-    r = inst.graph.point(inst.edge, Fraction(big_l * big_n * big_l, denom))
-    degree = 2 * s * big_l
-
+    _, _, denom, r, degree = _geometry(inst, s)
+    point_r = MetricDivisor.of(inst.graph, {r: 1})
+    refinement = grid_refinement(inst.graph, [inst.divisor, point_r])
     rows = {}
     for k in list(range(1, degree)) + [denom]:
-        target = MetricDivisor.of(inst.graph, {r: k * inst.d})
-        w = linear_equiv_metric(inst.graph, k * inst.divisor, target)
-        equivalent = w is not None
-        if equivalent:
-            assert k % denom == 0, \
-                "solvable degree must be a multiple of 2LN-1"
-        rows[k] = equivalent
-    obstruction_holds = not any(rows[k] for k in range(1, degree))
+        w = refinement.linear_equiv(k * inst.divisor, (k * inst.d) * point_r)
+        if w is not None and k % denom != 0:
+            raise CertificateError(
+                f"k*D ~ kd[r] solvable at k = {k}, not a multiple of 2LN-1 = {denom}")
+        rows[k] = w is not None
     return {
         "s": s,
         "degree": degree,
         "first_admissible": denom,
         "rows": rows,
-        "obstruction_holds": obstruction_holds,
+        "obstruction_holds": not any(rows[k] for k in range(1, degree)),
     }
 
 
@@ -212,14 +209,12 @@ def nonfinite_certificate(inst, s_list, budget=DEFAULT_BUDGET):
     """
     if not s_list:
         raise InputError("s_list must be nonempty")
-    hypotheses = check_hypotheses(inst)
-    if not hypotheses["all_pass"]:
-        raise HypothesisFailure("instance hypotheses failed")
     certificates = []
     for s in s_list:
         result = build_witness(inst, s, budget=budget)
         obstruction = indecomposability_check(inst, s, budget)
-        assert obstruction["obstruction_holds"]
+        if not obstruction["obstruction_holds"]:
+            raise CertificateError(f"obstruction fails below degree {result.degree}")
         certificates.append({
             "s": s,
             "degree": result.degree,
@@ -230,7 +225,7 @@ def nonfinite_certificate(inst, s_list, budget=DEFAULT_BUDGET):
             "witness": result,
         })
     return {
-        "hypotheses": hypotheses,
+        "hypotheses": check_hypotheses(inst),
         "certificates": certificates,
         "conclusion": ("every degree bound M is exceeded by the witness with "
                        "2sL > M; the graded semi-ring has no finite "

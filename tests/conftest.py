@@ -6,7 +6,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import tropdiv.intlinalg
 from tropdiv.graphs import build_graph
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Row counts of the matrices Smith-factored while the test runs."""
+    calls = []
+    original = tropdiv.intlinalg.smith_normal_form
+
+    def counted(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(tropdiv.intlinalg, "smith_normal_form", counted)
+    return calls
 
 
 @pytest.fixture

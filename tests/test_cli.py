@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import tropdiv.generators
+import tropdiv.witness
 from tropdiv.cli import main
 from tropdiv.serialize import dumps
 
@@ -120,6 +122,22 @@ def test_verify_gn_command(tmp_path):
     assert data["generated_below"] is False
 
 
+def test_verify_gn_failed_leg_is_verified_false(tmp_path, monkeypatch):
+    monkeypatch.setattr(tropdiv.generators, "is_extremal", lambda *args: False)
+    data = json.loads(run_cli(tmp_path, ["verify-gn", "--n", "2"], expect_code=1))
+    assert data == {"command": "verify-gn", "n": 2, "verified": False,
+                    "error": "witness is not extremal"}
+
+
+def test_verify_gn_does_not_hide_bugs(tmp_path, monkeypatch):
+    def broken(*args):
+        raise AssertionError("bug")
+
+    monkeypatch.setattr(tropdiv.generators, "is_extremal", broken)
+    with pytest.raises(AssertionError):
+        main(["verify-gn", "--n", "2", "--output", str(tmp_path / "out.json")])
+
+
 def test_trop_equiv_command(tmp_path):
     curve = tmp_path / "curve.json"
     curve.write_text(dumps(THETA_CURVE))
@@ -159,6 +177,31 @@ def test_trop_witness_dot(tmp_path, instance_file):
     assert text.startswith("graph G {")
     assert 'r@2/3' in text
     assert 'xlabel="p"' in text
+
+
+def test_trop_witness_failed_leg_exits_1(tmp_path, instance_file, monkeypatch,
+                                         capsys):
+    monkeypatch.setattr(tropdiv.witness, "is_extremal_metric",
+                        lambda *args, **kwargs: False)
+    code = main(["trop", "witness", "--instance", instance_file, "--s", "1",
+                 "--output", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "proof leg failed: extremal" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_trop_witness_factors_two_models(tmp_path, smith_calls):
+    # K_4, s = 2: one model for the hypotheses, one for the obstruction table
+    edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
+    instance = tmp_path / "k4.json"
+    instance.write_text(dumps({
+        "curve": {"model": {"vertices": 4, "edges": edges},
+                  "lengths": {str(e): "1" for e in range(6)}},
+        "divisor": "K", "edge": 0, "n": 2}))
+    data = json.loads(run_cli(tmp_path, ["trop", "witness", "--instance",
+                                         str(instance), "--s", "2"]))
+    assert data["obstruction_holds"] is True
+    assert len(smith_calls) == 2
 
 
 def test_trop_complete_graph_command(tmp_path):

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from tropdiv.budget import Budget
-from tropdiv.errors import DegreeOverflow
+from tropdiv.errors import BudgetExceeded, DegreeOverflow
 from tropdiv.graphs import Divisor, RationalFunction, canonical_divisor, linear_equiv
 from tropdiv.linear_systems import RgdElement, rgd_enumerate
 from tropdiv.generators import (
-    build_gn, certify_basis, decompose, extreme_rays, graded_cone,
+    MonoidCone, build_gn, certify_basis, decompose, extreme_rays, graded_cone,
     hilbert_basis, min_generator_degrees, monoid_certificate, verify_gn)
 
 from oracles import sufficient_box
@@ -68,6 +68,34 @@ def test_hilbert_basis_degree_zero_class(theta):
     # D = [p] - [q]: only degree multiples of 3 carry sections
     gs = hilbert_basis(graded_cone(theta, Divisor((1, -1))))
     assert basis_slices(gs) == {(-1, 3)}
+
+
+def brute_force_hilbert_basis(cone, max_height, box):
+    """Irreducible cone points up to a height, scanning [0, box] per coordinate
+    (so only for cones inside the nonnegative orthant)."""
+    points = [x + (m,) for m in range(1, max_height + 1)
+              for x in itertools.product(range(box + 1), repeat=cone.dim - 1)
+              if cone.contains(x + (m,))]
+    return {c for c in points
+            if not any(a[-1] < c[-1]
+                       and cone.contains(tuple(u - v for u, v in zip(c, a)))
+                       for a in points)}
+
+
+def test_hilbert_basis_non_simplicial_cone():
+    # five facets, four rays of rank 3: every 2-subset and most 3-subsets of
+    # rays span sub-parallelepipeds, and the basis reaches height 9
+    rows = ((1, 0, 0), (0, 1, 0), (-3, 0, 4), (0, -2, 5), (-2, -3, 7))
+    cone = MonoidCone(None, None, rows, 3)
+    assert extreme_rays(cone) == [(0, 0, 1), (0, 7, 3), (4, 0, 3), (12, 13, 9)]
+    gs = hilbert_basis(cone)
+    slices = {cone.element_to_slice(el) for el in gs.elements}
+    assert len(slices) == 16 and max(y[-1] for y in slices) == 9
+    assert slices == brute_force_hilbert_basis(cone, 16, 40)
+    # only the four 3-subsets are walked (with the 2-subsets it would be ten)
+    assert hilbert_basis(cone, Budget(max_products=4)) == gs
+    with pytest.raises(BudgetExceeded):
+        hilbert_basis(cone, Budget(max_products=3))
 
 
 def test_certify_basis_theta(theta):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropdiv.errors import (EmptySubgraph, InputError, InvalidPL,
-                            NonIntegralRefinement, NotMember)
+                            NonIntegralRefinement, NotMember, SizeMismatch)
 from tropdiv.graphs import RationalFunction
 from tropdiv.metric import (
     MetricDivisor, MetricSubgraph, PLFunction, Point, build_metric_graph,
@@ -207,6 +207,19 @@ def test_linear_equiv_metric_theta(mtheta):
     # identical divisors: constant witness
     w = linear_equiv_metric(mtheta, k, k)
     assert w == PLFunction.constant(mtheta, 0)
+
+
+def test_refinement_decides_every_grid_query(mtheta):
+    # one refinement on the 1/3 grid answers what linear_equiv_metric answers
+    k = canonical_divisor_metric(mtheta)
+    r = mtheta.point(0, F(2, 3))
+    ref = refine(mtheta, 3)
+    for d1, d2 in ((MetricDivisor.of(mtheta, {Point.vertex(0): 1, r: 3}), 2 * k),
+                   (k, MetricDivisor.of(mtheta, {r: 2})), (k, k)):
+        assert ref.linear_equiv(d1, d2) == linear_equiv_metric(mtheta, d1, d2)
+    other = build_metric_graph(2, [(0, 1)] * 3, [2, 2, 2])
+    with pytest.raises(SizeMismatch):
+        ref.linear_equiv(canonical_divisor_metric(other), k)
 
 
 def test_linear_equiv_metric_degree_mismatch(mtheta):

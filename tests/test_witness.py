@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from tropdiv.errors import HypothesisFailure, InputError
+import tropdiv.metric
+import tropdiv.witness
+from tropdiv.errors import CertificateError, HypothesisFailure, InputError
 from tropdiv.metric import (MetricDivisor, Point, build_metric_graph,
-                            canonical_divisor_metric)
+                            canonical_divisor_metric, linear_equiv_metric)
 from tropdiv.witness import (WitnessInstance, build_witness, check_hypotheses,
                              complete_graph_instance, indecomposability_check,
                              nonfinite_certificate)
@@ -141,3 +147,82 @@ def test_k4_witness_pipeline():
 def test_rejects_small_complete_graphs():
     with pytest.raises(InputError):
         complete_graph_instance(3)
+
+
+def test_obstruction_table_shares_one_refined_model(smith_calls):
+    report = indecomposability_check(complete_graph_instance(4), 2)
+    assert len(report["rows"]) == 4
+    # every row lives on the 1/15 grid: one model of 4 + 6*14 vertices
+    assert smith_calls == [88]
+
+
+def test_certificate_decides_hypotheses_once(smith_calls):
+    inst = complete_graph_instance(4)
+    report = nonfinite_certificate(inst, [2, 4])
+    assert report["hypotheses"] is check_hypotheses(inst)
+    # one solve for the hypotheses, one refined model per obstruction table
+    assert len(smith_calls) == 3
+
+
+def test_s_witness_is_a_power_of_the_hypothesis_witness(theta_instance):
+    k4 = complete_graph_instance(4)
+    for inst, s in ((theta_instance, 2), (k4, 2), (k4, 4)):
+        power = check_hypotheses(inst)["equivalence_witness"].power(s // inst.n)
+        half = inst.endpoints_divisor(s * inst.d // 2)
+        assert power == linear_equiv_metric(inst.graph, half, s * inst.divisor)
+        assert power.min_value() == 0
+
+
+def test_failed_extremality_voids_the_witness(theta_instance, monkeypatch):
+    monkeypatch.setattr(tropdiv.witness, "is_extremal_metric",
+                        lambda *args, **kwargs: False)
+    with pytest.raises(CertificateError, match="extremal"):
+        build_witness(theta_instance, 1)
+    with pytest.raises(CertificateError):
+        nonfinite_certificate(theta_instance, [1])
+
+
+def test_failed_obstruction_row_voids_the_table(theta_instance, monkeypatch):
+    # a solvable row below 2LN-1 contradicts the integrality argument
+    monkeypatch.setattr(tropdiv.metric.Refinement, "linear_equiv",
+                        lambda self, d1, d2: True)
+    with pytest.raises(CertificateError, match="2LN-1"):
+        indecomposability_check(theta_instance, 1)
+
+
+OPTIMIZED_CHECK = """
+import sys
+import tropdiv.witness as witness
+from tropdiv.cli import main
+from tropdiv.errors import CertificateError
+from tropdiv.metric import build_metric_graph, canonical_divisor_metric
+
+witness.is_extremal_metric = lambda *args, **kwargs: False
+graph = build_metric_graph(2, [(0, 1)] * 3, [1, 1, 1])
+inst = witness.WitnessInstance(graph, canonical_divisor_metric(graph), edge=0, n=1)
+try:
+    witness.build_witness(inst, 1)
+    raised = False
+except CertificateError:
+    raised = True
+code = main(["trop", "witness", "--instance", sys.argv[1], "--s", "1",
+             "--output", sys.argv[2]])
+print(__debug__, raised, code)
+"""
+
+
+def test_proof_legs_survive_optimized_mode(tmp_path):
+    # python -O strips assert statements; the legs must not depend on them
+    instance = tmp_path / "instance.json"
+    instance.write_text('{"curve": {"model": {"vertices": 2, "edges": '
+                        '[[0, 1], [0, 1], [0, 1]]}, "lengths": {"0": "1", '
+                        '"1": "1", "2": "1"}}, "divisor": "K", "edge": 0, "n": 1}')
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK, str(instance),
+         str(tmp_path / "out.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "1"]
+    assert "proof leg failed: extremal" in proc.stderr
+    assert not (tmp_path / "out.json").exists()
