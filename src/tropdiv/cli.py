@@ -285,7 +285,7 @@ def dispatch_trop(args, config):
             return 1, {"command": "trop witness", "verified": False,
                        "error": str(exc),
                        "hypotheses": _hypotheses_payload(check_hypotheses(inst))}
-        obstruction = indecomposability_check(inst, args.s, budget)
+        obstruction = indecomposability_check(inst, args.s)
         if config.fmt == "dot":
             return 0, _witness_dot(inst, result)
         payload = _witness_payload(inst, args.s, result, obstruction)
@@ -306,7 +306,7 @@ def dispatch_trop(args, config):
         certificates = []
         for s in args.s:
             result = build_witness(inst, s, budget=budget)
-            obstruction = indecomposability_check(inst, s, budget)
+            obstruction = indecomposability_check(inst, s)
             certificates.append(_witness_payload(inst, s, result, obstruction))
         if certificates:
             payload["certificates"] = certificates

@@ -23,79 +23,69 @@ def smith_normal_form(A):
     """Return (U, S, V) with U*A*V = S, U and V unimodular, S diagonal.
 
     The diagonal entries are nonnegative and each divides the next.
+
+    Each pivot is the first entry (row-major) of least absolute value in the
+    remaining block.  A unit pivot needs no divisibility sweep, and clearing
+    its row touches only the rows of S and V that are non-zero in its column.
+    Graph Laplacians have almost only unit invariant factors, so most pivots
+    cost the entries they change rather than a scan of the block.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     S = [list(row) for row in A]
     U = identity_matrix(m)
     V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
     t = 0
     while t < min(m, n):
-        # locate a pivot of minimal absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = S[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
+        # a unit is always of least absolute value: stop at the first one
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n)
+                      if S[i][j] in (1, -1)), None)
         if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
+            least = min(((abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                         if S[i][j]), default=None)
+            if least is None:
+                break
+            pivot = least[1:]
+        pi, pj = pivot
+        S[t], S[pi] = S[pi], S[t]
+        U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            # rows above t vanish in columns t and pj
+            for row in S[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            for row in V:
+                row[t], row[pj] = row[pj], row[t]
+        top, utop = S[t], U[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, m):
-            if S[i][t] != 0:
-                q = S[i][t] // S[t][t]
-                add_row(t, i, -q)
-                if S[i][t] != 0:
-                    dirty = True
+            if S[i][t]:
+                q = S[i][t] // p
+                S[i] = [a - q * b for a, b in zip(S[i], top)]
+                U[i] = [a - q * b for a, b in zip(U[i], utop)]
+                dirty = dirty or S[i][t] != 0
+        # column t stays fixed while it is added to the others, so only the
+        # rows non-zero in it change; once it is clear that is row t of S
+        srows = [S[i] for i in range(t, m) if S[i][t]]
+        vrows = [row for row in V if row[t]]
         for j in range(t + 1, n):
-            if S[t][j] != 0:
-                q = S[t][j] // S[t][t]
-                add_col(t, j, -q)
-                if S[t][j] != 0:
-                    dirty = True
+            if top[j]:
+                q = top[j] // p
+                for row in srows:
+                    row[j] -= q * row[t]
+                for row in vrows:
+                    row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue  # remainders left behind become smaller pivots
-
-        # enforce divisibility of the rest of the block by the pivot
-        p = S[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % p != 0:
-                    offender = i
-                    break
+        if abs(p) != 1:
+            # a non-unit pivot must divide the rest of the block
+            offender = next((i for i in range(t + 1, m)
+                             if any(S[i][j] % p for j in range(t + 1, n))), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
+                S[t] = [a + b for a, b in zip(top, S[offender])]
+                U[t] = [a + b for a, b in zip(utop, U[offender])]
+                continue
         t += 1
 
     for i in range(min(m, n)):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .budget import DEFAULT_BUDGET
-from .errors import EmptyOrFullSubset, InputError, NotMember, SizeMismatch
+from .errors import (CertificateError, EmptyOrFullSubset, InputError, NotMember,
+                     SizeMismatch)
 from .graphs import RationalFunction, ord_and_div
 
 
@@ -109,9 +110,11 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
             for v in combo:
                 coeffs[v] += 1
             x = solver.solve([a - b for a, b in zip(coeffs, divisor.coeffs)])
-            assert x is not None
+            if x is None:
+                raise CertificateError("cokernel test accepted an unsolvable candidate")
             f = RationalFunction(tuple(x)).normalized()
-            assert rgd_member(graph, divisor, f)
+            if not rgd_member(graph, divisor, f):
+                raise CertificateError("enumerated element fails the membership replay")
             out.append(RgdElement(degree, f))
     return tuple(sorted(out))
 

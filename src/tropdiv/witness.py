@@ -168,7 +168,7 @@ def build_witness(inst, s, budget=DEFAULT_BUDGET):
                          degree=degree, order_triple=order_triple, claims=claims)
 
 
-def indecomposability_check(inst, s, budget=DEFAULT_BUDGET):
+def indecomposability_check(inst, s):
     """Refute k*D ~ kd[r] for every k below the witness degree.
 
     A decomposition of the witness into lower-degree factors would hand one
@@ -178,7 +178,8 @@ def indecomposability_check(inst, s, budget=DEFAULT_BUDGET):
     reported as an informational row (divisibility is necessary, not
     sufficient), and any solvable row must pass the divisibility check.
     Every row has support {r} and supp D, so one refined model (and one
-    Smith form of its Laplacian) decides them all.
+    Smith form of its Laplacian) decides them all; the table is polynomial
+    and needs no budget.
     """
     _, _, denom, r, degree = _geometry(inst, s)
     point_r = MetricDivisor.of(inst.graph, {r: 1})
@@ -212,7 +213,7 @@ def nonfinite_certificate(inst, s_list, budget=DEFAULT_BUDGET):
     certificates = []
     for s in s_list:
         result = build_witness(inst, s, budget=budget)
-        obstruction = indecomposability_check(inst, s, budget)
+        obstruction = indecomposability_check(inst, s)
         if not obstruction["obstruction_holds"]:
             raise CertificateError(f"obstruction fails below degree {result.degree}")
         certificates.append({

@@ -256,3 +256,28 @@ def test_console_entry_point(tmp_path, theta_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+RGD_OPTIMIZED_CHECK = """
+import sys
+import tropdiv.linear_systems as linear_systems
+from tropdiv.cli import main
+
+linear_systems.rgd_member = lambda *args: False
+code = main(["rgd", "--graph", sys.argv[1], "--divisor", "K", "--m", "3",
+             "--output", sys.argv[2]])
+print(__debug__, code)
+"""
+
+
+def test_rgd_membership_replay_survives_optimized_mode(tmp_path, theta_file):
+    # python -O strips assert statements; every element's replay must not be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", RGD_OPTIMIZED_CHECK, theta_file,
+         str(tmp_path / "out.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]
+    assert "membership replay" in proc.stderr
+    assert not (tmp_path / "out.json").exists()

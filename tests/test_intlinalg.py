@@ -4,6 +4,8 @@ from math import gcd
 
 from tropdiv.intlinalg import (SmithSolver, _frac_inverse, frac_nullspace,
                                frac_rank, frac_solve, mat_vec, smith_normal_form)
+from tropdiv.metric import Refinement
+from tropdiv.witness import complete_graph_instance
 
 
 def mat_mul(A, B):
@@ -53,16 +55,59 @@ def in_column_lattice(A, b):
     return frac_rank(Ab) == r and minor_gcd(A, r) == minor_gcd(Ab, r)
 
 
+def checked_smith_form(A):
+    """Smith-factor A, check U*A*V = S with S a nonnegative divisibility
+    chain, and return (U, V, diagonal of S)."""
+    m, n = len(A), len(A[0])
+    U, S, V = smith_normal_form(A)
+    assert mat_mul(mat_mul(U, A), V) == S
+    diag = [S[i][i] for i in range(min(m, n))]
+    assert all(S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    return U, V, diag
+
+
 def test_smith_normal_form_invariants(rng):
     for A in random_matrices(rng):
-        m, n = len(A), len(A[0])
-        U, S, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == S
+        U, V, _ = checked_smith_form(A)
         assert abs(det(U)) == 1 and abs(det(V)) == 1
-        diag = [S[i][i] for i in range(min(m, n))]
-        assert all(S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
-        assert all(x >= 0 for x in diag)
-        assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+
+
+NON_UNITS = [0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 12, -12]
+
+
+def test_smith_normal_form_without_unit_entries(rng):
+    # no entry is +-1, so every pivot goes through the least-|a| search, the
+    # remainder loop and the divisibility fix-up
+    seen = set()
+    for i in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(0, min(m, n) - 1)
+        if i % 3 == 0 and r:
+            A = mat_mul([[rng.choice(NON_UNITS) for _ in range(r)] for _ in range(m)],
+                        [[rng.choice(NON_UNITS) for _ in range(n)] for _ in range(r)])
+        else:
+            A = [[rng.choice(NON_UNITS) for _ in range(n)] for _ in range(m)]
+        U, V, diag = checked_smith_form(A)
+        assert abs(det(U)) == 1 and abs(det(V)) == 1
+        # independent identity: d_1 * ... * d_k is the gcd of the k x k minors
+        product = 1
+        for k, d in enumerate(diag, start=1):
+            if d == 0:
+                break
+            product *= d
+            assert product == minor_gcd(A, k)
+        seen.update(d for d in diag if d > 1)
+    assert len(seen) > 5
+
+
+def test_smith_normal_form_of_refined_laplacian():
+    # the K_4 s=2 obstruction rows live on the 1/15 grid: 4 + 6*14 vertices
+    A = Refinement(complete_graph_instance(4).graph, 15).graph.laplacian
+    assert len(A) == 88
+    _, _, diag = checked_smith_form(A)
+    assert [d for d in diag if d != 1] == [15, 60, 60, 0]
 
 
 def test_image_test_agrees_with_solve_and_lattice_oracle(rng):

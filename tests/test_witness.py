@@ -156,6 +156,22 @@ def test_obstruction_table_shares_one_refined_model(smith_calls):
     assert smith_calls == [88]
 
 
+def test_obstruction_table_k6_s2(smith_calls):
+    report = indecomposability_check(complete_graph_instance(6), 2)
+    assert report["degree"] == 4 and report["first_admissible"] == 71
+    assert all(report["rows"][k] is False for k in (1, 2, 3))
+    assert report["obstruction_holds"]
+    # the 1/71 grid on K_6: 6 + 15*70 vertices, factored once
+    assert smith_calls == [1056]
+
+
+def test_obstruction_table_k5_s4():
+    report = indecomposability_check(complete_graph_instance(5), 4)
+    assert report["degree"] == 8 and report["first_admissible"] == 79
+    assert all(report["rows"][k] is False for k in range(1, 8))
+    assert report["obstruction_holds"]
+
+
 def test_certificate_decides_hypotheses_once(smith_calls):
     inst = complete_graph_instance(4)
     report = nonfinite_certificate(inst, [2, 4])
