@@ -13,7 +13,8 @@ from .errors import BudgetExceeded
 
 @dataclass(frozen=True)
 class Budget:
-    # firing-subset search is exponential in the vertex count
+    # support points + zero-chip components: the firing-subset search is
+    # exponential in their sum, not in the vertex count
     max_firing_vertices: int = 24
     # effective divisors enumerated per linear system
     max_lattice_candidates: int = 2_000_000

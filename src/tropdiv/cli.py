@@ -39,7 +39,9 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["json", "dot", "text"],
                         default="json", dest="fmt")
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
-    parser.add_argument("--max-vertices", type=int, default=24)
+    parser.add_argument("--max-vertices", type=int, default=24,
+                        help="cap on support points plus zero-chip components "
+                             "in a firing-subset search")
     parser.add_argument("--max-degree", type=int, default=64)
     parser.add_argument("--max-products", type=int, default=1_000_000)
 

@@ -19,16 +19,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, floor, prod
+from math import comb, prod
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, DegenerateCone, InputError,
                      SizeMismatch)
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
-from .intlinalg import (_frac_inverse, frac_nullspace, frac_rank,
-                        primitive_integer_vector, smith_normal_form)
-from .linear_systems import RgdElement, is_extremal, rgd_enumerate
+from .intlinalg import (frac_nullspace, frac_rank, primitive_integer_vector,
+                        smith_normal_form)
+from .linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
 
 
 @dataclass(frozen=True)
@@ -92,39 +92,31 @@ def extreme_rays(cone):
 
 
 def _parallelepiped_points(rays, budget):
-    """Integer points of {sum t_i r_i : t_i in [0,1)} for independent rays.
+    """Non-zero integer points of {sum t_j r_j : t_j in [0,1)}; [] for dependent rays.
 
-    The rays may span a proper subspace of Z^d.  Working in the saturated
-    lattice of their span (read off the Smith form of the ray matrix), the
-    problem becomes square: one representative per residue class modulo the
-    ray lattice, shifted into the half-open box by division with remainder.
+    With U R V = S the Smith form of the ray matrix R and s_1 | ... | s_k its
+    invariant factors, the integer points of the rays' span are R V (z / s)
+    for integer z, so the residue classes modulo the ray lattice are
+    z in prod range(s_i) with ray coordinates t = V (z / s).  Reducing t into
+    [0, 1) over the common denominator s_k keeps everything in integers.
     """
     k = len(rays)
     d = len(rays[0])
-    R = [[rays[j][i] for j in range(k)] for i in range(d)]  # rays as columns
-    U, S, V = smith_normal_form(R)
+    _, S, V = smith_normal_form([[rays[j][i] for j in range(k)] for i in range(d)])
+    if k > d or S[k - 1][k - 1] == 0:
+        return []
     diag = [S[i][i] for i in range(k)]
-    assert all(s > 0 for s in diag), "rays must be linearly independent"
-    det = prod(diag)
-    budget.check_count(det, budget.max_lattice_candidates, "parallelepiped classes")
-    Uinv = [[int(a) for a in row] for row in _frac_inverse(U)]
-    # coordinates on the saturated span lattice: y = first k entries of U x
-    Rk = [[sum(U[i][t] * R[t][j] for t in range(d)) for j in range(k)]
-          for i in range(k)]
-    Rkinv = _frac_inverse(Rk)
-    # residue classes of Z^k modulo Rk Z^k via the Smith form of Rk
-    U2, S2, _ = smith_normal_form(Rk)
-    diag2 = [S2[i][i] for i in range(k)]
-    U2inv = [[int(a) for a in row] for row in _frac_inverse(U2)]
+    budget.check_count(prod(diag), budget.max_lattice_candidates, "parallelepiped classes")
+    top = diag[-1]
+    # only the non-unit factors carry a non-zero z_i; column i of V scaled to s_k
+    factors = [s for s in diag if s > 1]
+    cols = [[V[j][i] * (top // s) for j in range(k)] for i, s in enumerate(diag) if s > 1]
     points = []
-    for z in itertools.product(*(range(s) for s in diag2)):
-        c = [sum(U2inv[i][t] * z[t] for t in range(k)) for i in range(k)]
-        t0 = [sum(Rkinv[i][j] * c[j] for j in range(k)) for i in range(k)]
-        fl = [floor(t) for t in t0]
-        y = [c[i] - sum(Rk[i][t] * fl[t] for t in range(k)) for i in range(k)]
-        x = tuple(sum(Uinv[i][t] * y[t] for t in range(k)) for i in range(d))
-        if any(x):
-            points.append(x)
+    for z in itertools.product(*map(range, factors)):
+        t = [sum(zi * col[j] for zi, col in zip(z, cols)) % top for j in range(k)]
+        if any(t):
+            points.append(tuple(sum(tj * r[c] for tj, r in zip(t, rays)) // top
+                                for c in range(d)))
     return points
 
 
@@ -152,11 +144,15 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     parallelepiped points of every independent ray subset; by the conic
     version of Caratheodory plus division with remainder along rays, those
     candidates generate, so filtering to irreducibles yields the full
-    Hilbert basis.  Only subsets of the span's rank are walked: every
-    independent subset extends to one of them, whose parallelepiped holds
-    its own (the extra coefficients set to 0).  A cone that is just the
-    height axis has only constant sections at every degree and returns an
-    empty generator list.
+    Hilbert basis.  Only subsets of the span's rank are walked (dependent
+    ones give no points): every independent subset extends to one of them,
+    whose parallelepiped holds its own (the extra coefficients set to 0).
+    Candidates are walked by height and kept unless they exceed a kept one
+    by a cone point: in a pointed cone a reducible candidate is a
+    lower-height irreducible plus a cone point, and two points of equal
+    height differ by a non-zero height-0 vector, which the cone lacks.
+    A cone that is just the height axis has only constant sections at every
+    degree and returns an empty generator list.
     """
     d = cone.dim
     rays = extreme_rays(cone)
@@ -168,21 +164,12 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     span_rank = frac_rank(rays)
     budget.check_count(comb(len(rays), span_rank), budget.max_products, "ray subsets")
     for subset in itertools.combinations(rays, span_rank):
-        if frac_rank(subset) == span_rank:
-            candidates.update(_parallelepiped_points(subset, budget))
+        candidates.update(_parallelepiped_points(subset, budget))
 
-    ordered = sorted(candidates, key=lambda y: (y[-1], y))
+    # exact for a pointed cone (graded_cone's corank-1 check): no height-0 point
     basis = []
-    for c in ordered:
-        reducible = False
-        for a in ordered:
-            if a == c:
-                continue
-            diff = tuple(x - y for x, y in zip(c, a))
-            if any(diff) and cone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
+    for c in sorted(candidates, key=lambda y: (y[-1], y)):
+        if not any(cone.contains(tuple(u - v for u, v in zip(c, a))) for a in basis):
             basis.append(c)
 
     elements = []
@@ -330,28 +317,23 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     budget.check_count(n_products, budget.max_products, "degree-exact products")
 
     fvals = target.function.values
-    nverts = len(fvals)
-    uncovered = set(range(nverts))
-    terms = []
-    checked = 0
-    for product in _degree_exact_products(degrees, m):
-        checked += 1
-        p = [0] * nverts
-        for i in product:
-            p = [a + b for a, b in zip(p, usable[i].function.values)]
-        diffs = [t - c for t, c in zip(fvals, p)]
-        shift = min(diffs)
-        touched = {i for i, dd in enumerate(diffs) if dd == shift}
-        if touched & uncovered:
-            terms.append((shift, product))
-            uncovered -= touched
-            if not uncovered:
-                break
+    products = []
 
+    def product_values():
+        for product in _degree_exact_products(degrees, m):
+            products.append(product)
+            p = [0] * len(fvals)
+            for i in product:
+                p = [a + b for a, b in zip(p, usable[i].function.values)]
+            yield p
+
+    # the cover stops pulling products once every vertex is touched
+    cover = oplus_cover(fvals, product_values())
     bound = f"all {n_products} products of degree exactly {m} over {len(usable)} generators"
-    if uncovered:
-        return GenerationCertificate(target, False, (), checked, bound)
-    cert = GenerationCertificate(target, True, tuple(terms), checked, bound)
+    if cover is None:
+        return GenerationCertificate(target, False, (), len(products), bound)
+    terms = tuple((shift, products[idx]) for shift, idx in cover)
+    cert = GenerationCertificate(target, True, terms, len(products), bound)
     if cert.evaluate(usable).values != fvals:
         raise CertificateError("generation certificate does not replay")
     return cert

@@ -207,10 +207,3 @@ def frac_solve(A, b):
         x[pc] = M[r][n]
     return x
 
-
-def _frac_inverse(A):
-    """Inverse of an invertible square matrix: one elimination of [A | I]."""
-    k = len(A)
-    M, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(k)]
-                          for i, row in enumerate(A)], k)
-    return [row[k:] for row in M]

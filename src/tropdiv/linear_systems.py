@@ -143,12 +143,9 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
     subset, so the subset restricted to zero-chip vertices is a union of
     connected components of the zero region, and each chosen component drags
     its positively-charged neighbours in.  That cuts the search from 2^|V| to
-    2^(supp) * 2^(components).
+    2^(supp) * 2^(components), and the budget caps supp + components.
     """
     n = graph.vertex_count
-    if n > budget.max_firing_vertices:
-        from .errors import BudgetExceeded
-        raise BudgetExceeded(f"firing search capped at {budget.max_firing_vertices} vertices")
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
 

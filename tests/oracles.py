@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from tropdiv.graphs import RationalFunction
+from tropdiv.intlinalg import frac_solve
 from tropdiv.linear_systems import rgd_member
 
 
@@ -93,3 +94,30 @@ def connected_multigraphs(max_vertices, max_edges):
                 except Disconnected:
                     pass
     return graphs
+
+
+def brute_force_hilbert_basis(cone, max_height, box):
+    """Irreducible cone points up to a height, scanning [0, box] per coordinate
+    (so only for cones inside the nonnegative orthant)."""
+    points = [x + (m,) for m in range(1, max_height + 1)
+              for x in itertools.product(range(box + 1), repeat=cone.dim - 1)
+              if cone.contains(x + (m,))]
+    return {c for c in points
+            if not any(a[-1] < c[-1]
+                       and cone.contains(tuple(u - v for u, v in zip(c, a)))
+                       for a in points)}
+
+
+def parallelepiped_points(rays):
+    """Non-zero integer points of {sum t_j r_j : t_j in [0, 1)} for independent
+    rays: scan the bounding box and keep each x whose coordinates t, solved
+    for over the rationals, lie in [0, 1)."""
+    R = [[r[c] for r in rays] for c in range(len(rays[0]))]  # rays as columns
+    ranges = [range(sum(min(a, 0) for a in row), sum(max(a, 0) for a in row) + 1)
+              for row in R]
+    out = set()
+    for x in itertools.product(*ranges):
+        t = frac_solve(R, list(x))
+        if any(x) and t is not None and all(0 <= tj < 1 for tj in t):
+            out.add(x)
+    return out

@@ -1,16 +1,20 @@
 import itertools
+from math import prod
 
 import pytest
 
 from tropdiv.budget import Budget
 from tropdiv.errors import BudgetExceeded, DegreeOverflow
-from tropdiv.graphs import Divisor, RationalFunction, canonical_divisor, linear_equiv
-from tropdiv.linear_systems import RgdElement, rgd_enumerate
+from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
+                            linear_equiv)
+from tropdiv.intlinalg import frac_rank, smith_normal_form
+from tropdiv.linear_systems import RgdElement, is_extremal, rgd_enumerate
 from tropdiv.generators import (
-    MonoidCone, build_gn, certify_basis, decompose, extreme_rays, graded_cone,
-    hilbert_basis, min_generator_degrees, monoid_certificate, verify_gn)
+    MonoidCone, _parallelepiped_points, build_gn, certify_basis, decompose,
+    extreme_rays, graded_cone, hilbert_basis, min_generator_degrees,
+    monoid_certificate, verify_gn)
 
-from oracles import sufficient_box
+from oracles import brute_force_hilbert_basis, parallelepiped_points, sufficient_box
 
 
 def basis_slices(gs):
@@ -70,18 +74,6 @@ def test_hilbert_basis_degree_zero_class(theta):
     assert basis_slices(gs) == {(-1, 3)}
 
 
-def brute_force_hilbert_basis(cone, max_height, box):
-    """Irreducible cone points up to a height, scanning [0, box] per coordinate
-    (so only for cones inside the nonnegative orthant)."""
-    points = [x + (m,) for m in range(1, max_height + 1)
-              for x in itertools.product(range(box + 1), repeat=cone.dim - 1)
-              if cone.contains(x + (m,))]
-    return {c for c in points
-            if not any(a[-1] < c[-1]
-                       and cone.contains(tuple(u - v for u, v in zip(c, a)))
-                       for a in points)}
-
-
 def test_hilbert_basis_non_simplicial_cone():
     # five facets, four rays of rank 3: every 2-subset and most 3-subsets of
     # rays span sub-parallelepipeds, and the basis reaches height 9
@@ -96,6 +88,59 @@ def test_hilbert_basis_non_simplicial_cone():
     assert hilbert_basis(cone, Budget(max_products=4)) == gs
     with pytest.raises(BudgetExceeded):
         hilbert_basis(cone, Budget(max_products=3))
+
+
+def test_parallelepiped_points_match_oracle(rng):
+    # random ray sets up to 5 x 5 whose bounding box (the oracle's scan, at
+    # one rational solve per point) has at most 2,000 points
+    seen = {"k < d": 0, "5 x 5": 0, "non-unit": 0, "two non-unit": 0, "dependent": 0}
+    handmade = [[(2, 0), (0, 2)], [(2, 0, 0), (0, 2, 0)], [(1, 2), (3, 4)],
+                [(2, 0, 0), (0, 4, 0), (0, 0, 6)], [(1, 1, 0), (1, -1, 0), (0, 0, 3)],
+                [(1, 2), (2, 4)], [(3, 3, 3)]]
+    shapes = [(k, d) for d in range(1, 6) for k in range(1, d + 1)]
+    random_sets = []
+    while len(random_sets) < 150:
+        k, d = rng.choice(shapes)
+        rays = [tuple(rng.choice((0,) * k + (-1, 1, -2, 2)) for _ in range(d))
+                for _ in range(k)]
+        if k >= 2 and rng.random() < 0.15:
+            a = rng.choice((-1, 1, 2))
+            rays[-1] = tuple(a * x + y for x, y in zip(rays[0], rays[1]))
+        box = prod(sum(abs(r[c]) for r in rays) + 1 for c in range(d))
+        if all(any(r) for r in rays) and box <= 2000:
+            random_sets.append(rays)
+    for rays in handmade + random_sets:
+        k, d = len(rays), len(rays[0])
+        got = _parallelepiped_points(rays, Budget())
+        if frac_rank(rays) < k:
+            assert got == []
+            seen["dependent"] += 1
+            continue
+        assert len(got) == len(set(got))
+        assert set(got) == parallelepiped_points(rays)
+        seen["k < d"] += k < d
+        seen["5 x 5"] += k == d == 5
+        _, S, _ = smith_normal_form([[r[c] for r in rays] for c in range(d)])
+        non_unit = sum(S[i][i] > 1 for i in range(k))
+        seen["non-unit"] += non_unit >= 1
+        seen["two non-unit"] += non_unit >= 2
+    assert all(seen.values()), seen
+
+
+def test_parallelepiped_budget_counts_classes():
+    rays = [(2, 0, 0), (0, 2, 0), (0, 0, 3)]
+    assert len(_parallelepiped_points(rays, Budget(max_lattice_candidates=12))) == 11
+    with pytest.raises(BudgetExceeded):
+        _parallelepiped_points(rays, Budget(max_lattice_candidates=11))
+
+
+def test_hilbert_basis_k33_frontier():
+    # 106 irreducibles, each candidate tested only against the basis so far
+    graph = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    gs = hilbert_basis(graded_cone(graph, canonical_divisor(graph)))
+    assert len(gs.elements) == 106
+    assert gs.degrees() == [1, 3]
+    assert certify_basis(gs, 3) == {1: 16, 2: 100, 3: 489}
 
 
 def test_certify_basis_theta(theta):
@@ -209,6 +254,20 @@ def test_gn_witness_matches_hand_solution():
     expect[2] = 1
     expect[3] = 0
     assert w == RationalFunction(tuple(expect))
+
+
+def test_gn_witness_extremal_past_24_vertices():
+    # G_5 has 26 vertices, but its witness divisor [p] + 9[r] has two support
+    # points and two zero-chip components: the firing search has 4 parts
+    graph, roles = build_gn(5)
+    k = canonical_divisor(graph)
+    target = Divisor.of(graph.vertex_count, {roles["p"]: 1, roles["r"]: 9})
+    w = linear_equiv(graph, target, 5 * k)
+    assert w is not None
+    assert is_extremal(graph, 5 * k, w)
+    assert is_extremal(graph, 5 * k, w, Budget(max_firing_vertices=4))
+    with pytest.raises(BudgetExceeded):
+        is_extremal(graph, 5 * k, w, Budget(max_firing_vertices=3))
 
 
 def test_verify_gn_vacuous():

@@ -2,8 +2,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from tropdiv.intlinalg import (SmithSolver, _frac_inverse, frac_nullspace,
-                               frac_rank, frac_solve, mat_vec, smith_normal_form)
+from tropdiv.intlinalg import (SmithSolver, frac_nullspace, frac_rank, frac_solve,
+                               mat_vec, smith_normal_form)
 from tropdiv.metric import Refinement
 from tropdiv.witness import complete_graph_instance
 
@@ -157,12 +157,3 @@ def test_frac_solve(rng):
     assert seen == {True, False}
     assert frac_solve([[1, 2], [2, 4]], [1, 3]) is None
 
-
-def test_frac_inverse(rng):
-    for _ in range(30):
-        k = rng.randint(1, 5)
-        A = random_matrix(rng, k, k)
-        if det(A) == 0:
-            continue
-        identity = [[int(i == j) for j in range(k)] for i in range(k)]
-        assert mat_mul(A, _frac_inverse(A)) == identity
