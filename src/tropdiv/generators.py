@@ -108,15 +108,40 @@ def _parallelepiped_points(rays, budget):
     diag = [S[i][i] for i in range(k)]
     budget.check_count(prod(diag), budget.max_lattice_candidates, "parallelepiped classes")
     top = diag[-1]
-    # only the non-unit factors carry a non-zero z_i; column i of V scaled to s_k
-    factors = [s for s in diag if s > 1]
-    cols = [[V[j][i] * (top // s) for j in range(k)] for i, s in enumerate(diag) if s > 1]
+    # only the non-unit factors carry a non-zero z_i.  Stepping z_i, a wrap
+    # included (s_i times column i of V scaled to s_k is 0 mod s_k), adds that
+    # column to t mod s_k; the point R t / s_k then moves by the integer
+    # vector R (column mod s_k) / s_k, less r_j for each t_j that wraps
+    factors = []
+    steps = []
+    for i, s in enumerate(diag):
+        if s > 1:
+            col = [V[j][i] * (top // s) % top for j in range(k)]
+            shift = [sum(cj * r[c] for cj, r in zip(col, rays)) // top for c in range(d)]
+            factors.append(s)
+            steps.append(([(j, cj) for j, cj in enumerate(col) if cj], shift))
+    t = [0] * k
+    x = [0] * d
+    z = [0] * len(factors)
     points = []
-    for z in itertools.product(*map(range, factors)):
-        t = [sum(zi * col[j] for zi, col in zip(z, cols)) % top for j in range(k)]
-        if any(t):
-            points.append(tuple(sum(tj * r[c] for tj, r in zip(t, rays)) // top
-                                for c in range(d)))
+    # an odometer over z, last digit fastest, from the class of 0 (not a point)
+    for _ in range(prod(factors) - 1):
+        i = len(factors) - 1
+        while True:
+            moves, shift = steps[i]
+            x = [a + b for a, b in zip(x, shift)]
+            for j, cj in moves:
+                tj = t[j] + cj
+                if tj >= top:
+                    tj -= top
+                    x = [a - b for a, b in zip(x, rays[j])]
+                t[j] = tj
+            z[i] += 1
+            if z[i] < factors[i]:
+                break
+            z[i] = 0
+            i -= 1
+        points.append(tuple(x))
     return points
 
 
@@ -281,18 +306,14 @@ def _degree_exact_products(degrees, total):
 
 
 def _count_products(degrees, total):
-    @lru_cache(maxsize=None)
-    def count(start, remaining):
-        if remaining == 0:
-            return 1
-        acc = 0
-        for i in range(start, len(degrees)):
-            d = degrees[i]
-            if 0 < d <= remaining:
-                acc += count(i, remaining - d)
-        return acc
-
-    return count(0, total)
+    """Number of _degree_exact_products: the coefficient of x^total in the
+    product of 1 / (1 - x^d) over the degrees d in [1, total]."""
+    ways = [1] + [0] * total
+    for d in degrees:
+        if 0 < d <= total:
+            for t in range(d, total + 1):
+                ways[t] += ways[t - d]
+    return ways[total]
 
 
 def decompose(target, gens, budget=DEFAULT_BUDGET):
@@ -313,7 +334,7 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
                                      "degree 0: constants are units")
     usable = [el for el in elements if 0 < el.degree <= m]
     degrees = [el.degree for el in usable]
-    n_products = _count_products(tuple(degrees), m)
+    n_products = _count_products(degrees, m)
     budget.check_count(n_products, budget.max_products, "degree-exact products")
 
     fvals = target.function.values

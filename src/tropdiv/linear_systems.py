@@ -5,15 +5,19 @@ It is closed under pointwise max (tropical sum) and constant shifts, so the
 interesting object is the finite set of representatives modulo shifts.
 Representatives are enumerated through the divisor classes they cut out:
 f -> D + div(f) is a bijection from R(G, D) modulo constants onto the
-effective divisors linearly equivalent to D, and the latter are recognised
-by an exact Smith-form lattice test.
+effective divisors linearly equivalent to D.  Those are listed by a walk
+over the finite Jacobian (classes are residues under the Laplacian's
+Smith-form cokernel rows) that enters only branches ending in D's class,
+and each one's function is read off per-vertex potentials solved once,
+so the enumeration costs about its output rather than the C(n+d-1, d)
+effective divisors of degree d.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, EmptyOrFullSubset, InputError, NotMember,
@@ -63,19 +67,68 @@ def rgd_member(graph, divisor, f):
     return (ord_and_div(graph, f) + divisor).is_effective()
 
 
-def _effective_divisor_matrix(n, d):
-    """All effective divisors of degree d on n vertices, each as the sorted
-    tuple of the vertices carrying its d chips."""
-    return list(itertools.combinations_with_replacement(range(n), d))
+def _effective_divisor_matrix(solver, divisor):
+    """The effective divisors linearly equivalent to D, each as the sorted
+    tuple of the vertices carrying its deg(D) chips.
+
+    A divisor's class is the tuple of its values under the solver's cokernel
+    rows of non-zero modulus, each reduced by its modulus; the modulus-0 row
+    of a connected graph's Laplacian is +-(1, ..., 1) and only compares
+    degrees.  reach[v][r] holds the classes of the divisors with r chips on
+    vertices v, ..., n-1, and a depth-first walk puts c chips on vertex v
+    only when the rest of D's class stays in reach[v + 1][r - c], so every
+    branch it enters ends in a member.  The table has at most
+    C(n+d, d+1) entries, that is (n+d)/(d+1) times the C(n+d-1, d)
+    candidates a scan would test.
+    """
+    n = len(divisor.coeffs)
+    d = divisor.degree()
+    torsion = [(row, mod) for row, mod in solver.cokernel_rows if mod]
+    moduli = [mod for _, mod in torsion]
+
+    def sub(a, b):
+        return tuple((x - y) % m for x, y, m in zip(a, b, moduli))
+
+    col = [tuple(row[v] % mod for row, mod in torsion) for v in range(n)]
+    # reach[0] is never read: the walk starts there in D's own class
+    reach = [None] * n + [[{(0,) * len(torsion)}] + [set()] * d]
+    for v in range(n - 1, 0, -1):
+        below = reach[v + 1]
+        cells = [below[0]]
+        for r in range(1, d + 1):
+            cells.append(below[r] | {tuple((x + y) % m for x, y, m in zip(c, col[v], moduli))
+                                     for c in cells[r - 1]})
+        reach[v] = cells
+
+    target = tuple(sum(a * c for a, c in zip(row, divisor.coeffs)) % mod
+                   for row, mod in torsion)
+    out = []
+    stack = [(0, d, target, ())]
+    while stack:
+        v, r, need, chips = stack.pop()
+        if v == n:
+            out.append(chips)
+            continue
+        below = reach[v + 1]
+        # pushed from c = 0 up, so the walk pops members in lexicographic order
+        for c in range(r + 1):
+            if need in below[r - c]:
+                stack.append((v + 1, r - c, need, chips + (v,) * c))
+            need = sub(need, col[v])
+    return out
 
 
 def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     """All of R(G, D) modulo constant shifts, as min-0 representatives.
 
-    Exhaustive: candidates are the effective divisors of degree deg(D); each
-    is kept exactly when it is linearly equivalent to D, and the witness of
-    the equivalence is the (unique modulo constants) member it comes from.
-    Every returned element is re-checked for membership independently.
+    Exhaustive: f -> D + div(f) maps R(G, D) modulo constants onto the
+    effective divisors in D's class, which _effective_divisor_matrix lists.
+    With N the last non-zero invariant factor of the Laplacian, N times any
+    degree-0 divisor is principal, so P_v with div(P_v) = N (e_v - e_0) is
+    solved once per vertex.  A member E then has
+    h = sum over E's chips of P_v - sum_v D_v P_v = N f + const, and f is
+    (h - min h) / N, an exact division.  Every returned element is re-checked
+    for membership independently.
     """
     n = graph.vertex_count
     if len(divisor.coeffs) != n:
@@ -88,34 +141,34 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     # which for a connected graph is exactly corank 1 of the Laplacian
     assert solver.rank == n - 1, "Laplacian corank != 1; graph not connected?"
 
+    # C(n+d-1, d) effective divisors have degree d; the walk's table is at
+    # most (n+d)/(d+1) times that, so this cap bounds it
     budget.check_count(comb(n + d - 1, d), budget.max_lattice_candidates,
                        "lattice candidates")
 
-    # E ~ D iff E - D lies in the image of the Laplacian, which the solver's
-    # cokernel rows decide; a row's value on E is the sum of its entries at
-    # E's chips.  Larger moduli reject more candidates, so they go first; the
-    # modulus-0 row of a connected graph's Laplacian only compares degrees.
-    checks = []
-    for row, mod in sorted(solver.cokernel_rows, key=lambda rm: (rm[1] == 0, -rm[1])):
-        target = sum(a * c for a, c in zip(row, divisor.coeffs))
-        checks.append((row, mod, target % mod if mod else target))
+    top = solver.diag[solver.rank - 1] if solver.rank else 1
+    potentials = [[0] * n]
+    for v in range(1, n):
+        p = solver.solve([top * ((u == v) - (u == 0)) for u in range(n)])
+        if p is None:
+            raise CertificateError("a multiple of a degree-0 divisor is not principal")
+        potentials.append(p)
+    base = [0] * n
+    for c, p in zip(divisor.coeffs, potentials):
+        if c:
+            base = [a - c * b for a, b in zip(base, p)]
     out = []
-    for combo in _effective_divisor_matrix(n, d):
-        for row, mod, target in checks:
-            value = sum(map(row.__getitem__, combo))
-            if (value % mod if mod else value) != target:
-                break
-        else:
-            coeffs = [0] * n
-            for v in combo:
-                coeffs[v] += 1
-            x = solver.solve([a - b for a, b in zip(coeffs, divisor.coeffs)])
-            if x is None:
-                raise CertificateError("cokernel test accepted an unsolvable candidate")
-            f = RationalFunction(tuple(x)).normalized()
-            if not rgd_member(graph, divisor, f):
-                raise CertificateError("enumerated element fails the membership replay")
-            out.append(RgdElement(degree, f))
+    for chips in _effective_divisor_matrix(solver, divisor):
+        h = base
+        for v in chips:
+            h = list(map(add, h, potentials[v]))
+        low = min(h)
+        if any((x - low) % top for x in h):
+            raise CertificateError("potential sum is not a multiple of the exponent")
+        f = RationalFunction(tuple((x - low) // top for x in h))
+        if not rgd_member(graph, divisor, f):
+            raise CertificateError("enumerated element fails the membership replay")
+        out.append(RgdElement(degree, f))
     return tuple(sorted(out))
 
 
@@ -149,35 +202,33 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
 
+    # neighbours with multiplicity, loops skipped: firing a subset keeps its
+    # vertex x effective exactly when x holds at least as many chips as it
+    # has neighbours outside the subset
+    nbrs = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
     positive = [x for x in range(n) if divisor.coeffs[x] > 0]
     zero = frozenset(x for x in range(n) if divisor.coeffs[x] == 0)
 
-    # connected components of the zero region
-    parent = {x: x for x in zero}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in graph.edges:
-        if u != v and u in zero and v in zero:
-            parent[find(u)] = find(v)
-    comps = {}
-    for x in zero:
-        comps.setdefault(find(x), set()).add(x)
-    comp_list = [frozenset(c) for c in comps.values()]
+    # connected components of the zero region, with their positive neighbours
+    comp_list = []
     comp_pos_nbrs = []
-    for c in comp_list:
-        nbrs = set()
-        for u, v in graph.edges:
-            if u != v:
-                if u in c and v not in zero:
-                    nbrs.add(v)
-                if v in c and u not in zero:
-                    nbrs.add(u)
-        comp_pos_nbrs.append(frozenset(nbrs))
+    seen = set()
+    for x in zero:
+        if x in seen:
+            continue
+        comp, stack = {x}, [x]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y in zero and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comp_list.append(frozenset(comp))
+        comp_pos_nbrs.append(frozenset(y for c in comp for y in nbrs[c] if y not in zero))
 
     budget.check_count(len(positive) + len(comp_list), budget.max_firing_vertices,
                        "firing search parts")
@@ -193,14 +244,7 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
                     vset |= comp_list[eligible[j]]
             if not vset or len(vset) >= n:
                 continue
-            ok = True
-            for x in s:
-                leaving = sum((u == x and v not in vset) + (v == x and u not in vset)
-                              for u, v in graph.edges if u != v)
-                if divisor.coeffs[x] < leaving:
-                    ok = False
-                    break
-            if ok:
+            if all(divisor.coeffs[x] >= sum(y not in vset for y in nbrs[x]) for x in s):
                 out.append(frozenset(vset))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 

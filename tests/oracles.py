@@ -47,18 +47,46 @@ def rgd_box_enumerate(graph, divisor):
 
 
 def rgd_box_enumerate_fast(graph, divisor):
-    """Same box scan, vectorised (still definition-only membership)."""
+    """Same box scan, vectorised (still definition-only membership).
+
+    The min-0 vectors of the box are a disjoint union over their first zero
+    coordinate i: entries before i lie in [1, spread], entry i is 0 and the
+    entries after it lie in [0, spread].  Only those vectors are built.
+    """
     n = graph.vertex_count
     if divisor.degree() < 0:
         return frozenset()
     spread = sufficient_box(graph, divisor)
-    axes = [np.arange(spread + 1, dtype=np.int64)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    grid = grid[grid.min(axis=1) == 0]
     lap = np.array([list(r) for r in graph.laplacian], dtype=np.int64)
-    div_plus = grid @ lap.T + np.array(divisor.coeffs, dtype=np.int64)
-    ok = (div_plus >= 0).all(axis=1)
-    return frozenset(tuple(int(x) for x in row) for row in grid[ok])
+    coeffs = np.array(divisor.coeffs, dtype=np.int64)
+    out = set()
+    for i in range(n):
+        axes = ([np.arange(1, spread + 1, dtype=np.int64)] * i
+                + [np.zeros(1, dtype=np.int64)]
+                + [np.arange(spread + 1, dtype=np.int64)] * (n - 1 - i))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        ok = (grid @ lap.T + coeffs >= 0).all(axis=1)
+        out.update(tuple(int(x) for x in row) for row in grid[ok])
+    return frozenset(out)
+
+
+def divisor_class_scan(graph, divisor):
+    """Every effective divisor of degree deg(D) linearly equivalent to D, as the
+    sorted tuple of its chips' vertices: all C(n+d-1, d) candidates, each
+    tested with the Laplacian solver's lattice test."""
+    n = graph.vertex_count
+    d = divisor.degree()
+    if d < 0:
+        return []
+    solver = graph.laplacian_solver
+    out = []
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        coeffs = [0] * n
+        for v in combo:
+            coeffs[v] += 1
+        if solver.in_image([a - b for a, b in zip(coeffs, divisor.coeffs)]):
+            out.append(combo)
+    return out
 
 
 def all_firing_subsets(graph, divisor):

@@ -238,6 +238,13 @@ def test_budget_exit_code(tmp_path, theta_file):
     assert data["error"] == "budget exceeded"
 
 
+def test_verify_gn_5_exceeds_the_candidate_budget(tmp_path):
+    code = main(["verify-gn", "--n", "5", "--output", str(tmp_path / "out.json")])
+    assert code == 3
+    data = json.loads((tmp_path / "out.json").read_text())
+    assert data["detail"] == "lattice candidates: 13884156 exceeds budget 2000000"
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy is a test-only dependency; the package must not import it
     src = Path(__file__).resolve().parent.parent / "src"

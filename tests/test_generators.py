@@ -10,7 +10,7 @@ from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_di
 from tropdiv.intlinalg import frac_rank, smith_normal_form
 from tropdiv.linear_systems import RgdElement, is_extremal, rgd_enumerate
 from tropdiv.generators import (
-    MonoidCone, _parallelepiped_points, build_gn, certify_basis, decompose,
+    MonoidCone, _count_products, _degree_exact_products, _parallelepiped_points, build_gn, certify_basis, decompose,
     extreme_rays, graded_cone, hilbert_basis, min_generator_degrees,
     monoid_certificate, verify_gn)
 
@@ -205,6 +205,13 @@ def test_decompose_shift_invariance(theta):
         # so emulate the shift by re-normalizing a shifted copy
         shifted = RgdElement(3, RationalFunction(values).shift(7).normalized())
         assert decompose(shifted, gens).generated == base
+
+
+def test_product_count_matches_enumeration(rng):
+    for _ in range(60):
+        degrees = [rng.randint(-1, 5) for _ in range(rng.randint(0, 7))]
+        total = rng.randint(0, 9)
+        assert _count_products(degrees, total) == len(list(_degree_exact_products(degrees, total)))
 
 
 def test_min_generator_degrees_theta(theta):

@@ -1,14 +1,16 @@
 import pytest
 
-from tropdiv.errors import EmptyOrFullSubset, NotMember
+from tropdiv.budget import Budget
+from tropdiv.errors import CertificateError, EmptyOrFullSubset, NotMember
 from tropdiv.generators import build_gn
 from tropdiv.graphs import Divisor, RationalFunction, build_graph, canonical_divisor, ord_and_div
 from tropdiv.linear_systems import (
-    can_fire, extremals, firing_subsets, is_extremal, odot, oplus,
-    oplus_cover, rgd_enumerate, rgd_member, scale)
+    _effective_divisor_matrix, can_fire, extremals, firing_subsets, is_extremal,
+    odot, oplus, oplus_cover, rgd_enumerate, rgd_member, scale)
 
 from conftest import random_multigraph
-from oracles import all_firing_subsets, rgd_box_enumerate
+from oracles import (all_firing_subsets, divisor_class_scan, rgd_box_enumerate,
+                     rgd_box_enumerate_fast)
 
 
 def reps(elements):
@@ -65,6 +67,53 @@ def test_rgd_translates_by_huge_principal_divisor(rng, k4):
                     .normalized().values for el in rgd_enumerate(g, d, degree=2)}
         assert len(expected) > 1
         assert reps(rgd_enumerate(g, shifted, degree=2)) == expected
+
+
+def test_class_walk_matches_candidate_scan(rng, k4):
+    # loops, parallel edges, negative coefficients and degrees 0..6, plus
+    # Jacobians (Z/4)^2, (Z/5)^3 and Z/3 x Z/9 of K_4, K_5 and G_2
+    k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    systems = [(g, m * canonical_divisor(g)) for g in (k4, k5, build_gn(2)[0])
+               for m in (1, 2)]
+    for _ in range(80):
+        g = random_multigraph(rng, max_vertices=5, max_extra=4)
+        coeffs = [rng.randint(-2, 3) for _ in range(g.vertex_count)]
+        coeffs[rng.randrange(g.vertex_count)] += rng.randint(0, 6) - sum(coeffs)
+        systems.append((g, Divisor(tuple(coeffs))))
+    assert {d.degree() for _, d in systems} >= set(range(7))
+    for g, d in systems:
+        assert _effective_divisor_matrix(g.laplacian_solver, d) == divisor_class_scan(g, d)
+
+
+def test_class_walk_lists_only_members():
+    g, _ = build_gn(4)
+    assert len(_effective_divisor_matrix(g.laplacian_solver, 3 * canonical_divisor(g))) == 1320
+
+
+def test_rgd_g5_past_the_default_budget():
+    g, _ = build_gn(5)
+    elements = rgd_enumerate(g, 4 * canonical_divisor(g), degree=4,
+                             budget=Budget(max_lattice_candidates=14_000_000))
+    assert len(elements) == 58360
+
+
+def test_potential_remainder_voids_the_enumeration(k4, monkeypatch):
+    # a potential off by one chip's indicator leaves h - min h outside N Z^n
+    solver = k4.laplacian_solver
+    solve = solver.solve
+    monkeypatch.setattr(solver, "solve",
+                        lambda b: [x + (c > 0) for x, c in zip(solve(b), b)])
+    with pytest.raises(CertificateError, match="multiple of the exponent"):
+        rgd_enumerate(k4, canonical_divisor(k4))
+
+
+def test_box_oracles_agree(theta, path3, k4, rng):
+    systems = [(g, m * canonical_divisor(g)) for g in (theta, path3, k4) for m in (0, 1, 2)]
+    for _ in range(10):
+        g = random_multigraph(rng, max_vertices=3, max_extra=2)
+        systems.append((g, Divisor(tuple(rng.randint(-1, 2) for _ in range(g.vertex_count)))))
+    for g, d in systems:
+        assert rgd_box_enumerate_fast(g, d) == rgd_box_enumerate(g, d)
 
 
 def test_can_fire_theta():
