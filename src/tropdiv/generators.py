@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from operator import add
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, DegenerateCone, InputError,
@@ -290,19 +291,18 @@ def _gen_elements(gens):
 
 
 def _degree_exact_products(degrees, total):
-    """Multisets of generator indices with degree sum exactly total."""
-
-    def rec(start, remaining):
+    """Multisets of generator indices with degree sum exactly total, as
+    non-decreasing index tuples in lexicographic order."""
+    stack = [(0, total, ())]
+    while stack:
+        start, remaining, product = stack.pop()
         if remaining == 0:
-            yield ()
-            return
-        for i in range(start, len(degrees)):
-            d = degrees[i]
-            if 0 < d <= remaining:
-                for rest in rec(i, remaining - d):
-                    yield (i,) + rest
-
-    yield from rec(0, total)
+            yield product
+            continue
+        # pushed from the last index down, so the smallest is popped first
+        for i in range(len(degrees) - 1, start - 1, -1):
+            if 0 < degrees[i] <= remaining:
+                stack.append((i, remaining - degrees[i], product + (i,)))
 
 
 def _count_products(degrees, total):
@@ -341,12 +341,20 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     products = []
 
     def product_values():
+        # sums[k] is the value vector of the first k factors; consecutive
+        # products in lexicographic order share a prefix, whose sums are kept
+        sums = [[0] * len(fvals)]
+        prev = ()
         for product in _degree_exact_products(degrees, m):
+            k = 0
+            while k < len(prev) and k < len(product) and prev[k] == product[k]:
+                k += 1
+            del sums[k + 1:]
+            for i in product[k:]:
+                sums.append(list(map(add, sums[-1], usable[i].function.values)))
             products.append(product)
-            p = [0] * len(fvals)
-            for i in product:
-                p = [a + b for a, b in zip(p, usable[i].function.values)]
-            yield p
+            prev = product
+            yield sums[-1]
 
     # the cover stops pulling products once every vertex is touched
     cover = oplus_cover(fvals, product_values())

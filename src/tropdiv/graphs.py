@@ -44,13 +44,8 @@ class FiniteGraph:
     def _check_connected(self):
         seen = {0}
         stack = [0]
-        adj = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         while stack:
-            x = stack.pop()
-            for y in adj[x]:
+            for y in self.neighbors[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -70,39 +65,31 @@ class FiniteGraph:
         return len(self.edges) - self.vertex_count + 1
 
     @cached_property
-    def adjacency(self):
-        """Non-loop edge multiplicities as a dense matrix."""
-        n = self.vertex_count
-        A = [[0] * n for _ in range(n)]
+    def neighbors(self):
+        """Per-vertex neighbour tuples: one entry per non-loop edge end, so
+        parallel edges repeat a neighbour and loops add nothing."""
+        out = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             if u != v:
-                A[u][v] += 1
-                A[v][u] += 1
-        return tuple(tuple(row) for row in A)
+                out[u].append(v)
+                out[v].append(u)
+        return tuple(tuple(ys) for ys in out)
 
     @cached_property
     def laplacian(self):
         """Matrix with L*f = div(f): off-diagonal = non-loop multiplicity,
         diagonal = minus the number of non-loop endpoints."""
         n = self.vertex_count
-        A = self.adjacency
-        L = [list(row) for row in A]
-        for i in range(n):
-            L[i][i] = -sum(A[i])
+        L = [[0] * n for _ in range(n)]
+        for x, ys in enumerate(self.neighbors):
+            L[x][x] = -len(ys)
+            for y in ys:
+                L[x][y] += 1
         return tuple(tuple(row) for row in L)
 
     @cached_property
     def laplacian_solver(self):
         return SmithSolver([list(row) for row in self.laplacian])
-
-    def neighbors(self, x):
-        out = []
-        for u, v in self.edges:
-            if u == x and v != x:
-                out.append(v)
-            elif v == x and u != x:
-                out.append(u)
-        return out
 
     @cached_property
     def bridges(self):

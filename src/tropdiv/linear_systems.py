@@ -202,14 +202,9 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
 
-    # neighbours with multiplicity, loops skipped: firing a subset keeps its
-    # vertex x effective exactly when x holds at least as many chips as it
-    # has neighbours outside the subset
-    nbrs = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        if u != v:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+    # firing a subset keeps its vertex x effective exactly when x holds at
+    # least as many chips as it has neighbours (with multiplicity) outside it
+    nbrs = graph.neighbors
     positive = [x for x in range(n) if divisor.coeffs[x] > 0]
     zero = frozenset(x for x in range(n) if divisor.coeffs[x] == 0)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 from math import lcm
 
@@ -391,6 +392,29 @@ def rgd_member_metric(graph, divisor, f):
     return (f.div() + divisor).is_effective()
 
 
+# -- cut models ---------------------------------------------------------------
+
+
+def _cut_model(graph, cuts):
+    """Cut every model edge at the offsets cuts[e], all strictly inside it.
+
+    Returns (points, segments).  points lists the model vertices, then the
+    cut points edge by edge in increasing offset; each segment (e, a, b, i, j)
+    is the piece [a, b] of edge e running from points[i] to points[j], and
+    the pieces come edge by edge in increasing offset.
+    """
+    points = [Point.vertex(x) for x in range(graph.model.vertex_count)]
+    segments = []
+    for e, (u, v) in enumerate(graph.model.edges):
+        i, a = u, Fraction(0)
+        for o in sorted(cuts.get(e, ())):
+            points.append(Point.interior(e, o))
+            segments.append((e, a, o, i, len(points) - 1))
+            i, a = len(points) - 1, o
+        segments.append((e, a, graph.lengths[e], i, v))
+    return points, segments
+
+
 # -- model refinement ---------------------------------------------------------
 
 
@@ -414,31 +438,17 @@ class Refinement:
                     f"edge {e}: q*length = {q * length} is not an integer")
         self.base = base
         self.q = q
-        n = base.model.vertex_count
-        edges = []
+        steps = [int(q * length) for length in base.lengths]
+        self._points, self._segments = _cut_model(
+            base, {e: [Fraction(j, q) for j in range(1, k)] for e, k in enumerate(steps)})
+        # edge e's pieces start at _first[e]; its j-th grid point opens piece j
+        self._first = list(accumulate(steps, initial=0))
         labels = list(base.model.labels) if base.model.labels else [
-            f"v{i}" for i in range(n)]
-        self._grid = {}      # (edge, j) -> refined vertex id
-        next_id = n
-        for e, (u, v) in enumerate(base.model.edges):
-            k = int(q * base.lengths[e])
-            prev = u
-            for j in range(1, k):
-                labels.append(f"e{e}+{j}")
-                self._grid[(e, j)] = next_id
-                edges.append((prev, next_id))
-                prev = next_id
-                next_id += 1
-            edges.append((prev, v))
-            self._grid[(e, 0)] = u
-            self._grid[(e, k)] = v
-        self.graph = build_graph(next_id, edges, labels=labels)
-        self._points = [Point.vertex(i) for i in range(n)]
-        for e in range(base.model.edge_count):
-            k = int(q * base.lengths[e])
-            for j in range(1, k):
-                self._points.append(Point.interior(e, Fraction(j, q)))
-        assert len(self._points) == next_id
+            f"v{i}" for i in range(base.model.vertex_count)]
+        labels += [f"e{e}+{j}" for e, k in enumerate(steps) for j in range(1, k)]
+        self.graph = build_graph(len(self._points),
+                                 [(i, j) for _, _, _, i, j in self._segments],
+                                 labels=labels)
 
     def vertex_of_point(self, p):
         if p.is_vertex:
@@ -446,7 +456,10 @@ class Refinement:
         j = p.offset * self.q
         if j.denominator != 1:
             raise NonIntegralRefinement(f"point {p} is off the 1/{self.q} grid")
-        return self._grid[(p.index, int(j))]
+        first, end = self._first[p.index], self._first[p.index + 1]
+        if not 0 < j < end - first:
+            raise InputError(f"point {p} is not inside edge {p.index}")
+        return self._segments[first + int(j)][3]
 
     def point_of_vertex(self, i):
         return self._points[i]
@@ -467,28 +480,25 @@ class Refinement:
     def function_from_graph(self, g):
         """Vertex labels g on the refined model -> PL function with values g/q."""
         values = g.values if isinstance(g, RationalFunction) else g
-        segs = []
-        for e in range(self.base.model.edge_count):
-            k = int(self.q * self.base.lengths[e])
-            bps = [(Fraction(j, self.q), Fraction(values[self._grid[(e, j)]], self.q))
-                   for j in range(k + 1)]
-            segs.append(bps)
+        segs = [[(Fraction(0), Fraction(values[u], self.q))] for u, _ in self.base.model.edges]
+        for e, _, b, _, j in self._segments:
+            segs[e].append((b, Fraction(values[j], self.q)))
         return PLFunction(self.base, segs)
 
     def function_to_graph(self, f):
         """Inverse transport; requires grid-only breakpoints and values in Z/q."""
-        values = [None] * self.graph.vertex_count
         for e, bps in enumerate(f.segs):
             for o, _ in bps[1:-1]:
                 if (o * self.q).denominator != 1:
                     raise NonIntegralRefinement(
                         f"breakpoint at {o} on edge {e} is off the grid")
-            k = int(self.q * self.base.lengths[e])
-            for j in range(k + 1):
-                val = f._eval_edge(e, Fraction(j, self.q)) * self.q
+        values = [None] * self.graph.vertex_count
+        for e, a, b, i, j in self._segments:
+            for o, x in ((a, i), (b, j)):
+                val = f._eval_edge(e, o) * self.q
                 if val.denominator != 1:
                     raise NonIntegralRefinement("values are not multiples of 1/q")
-                values[self._grid[(e, j)]] = int(val)
+                values[x] = int(val)
         return RationalFunction(tuple(values))
 
     def linear_equiv(self, d1, d2):
@@ -649,19 +659,14 @@ class MetricSubgraph:
 
 def components_of_complement(graph, points):
     """Closures of the connected components of the graph minus a point set."""
-    cut_vertices = {p.index for p in points if p.is_vertex}
+    removed = set(points)
     cuts = {}
-    for p in points:
+    for p in removed:
         if not p.is_vertex:
             cuts.setdefault(p.index, set()).add(p.offset)
+    nodes, segments = _cut_model(graph, cuts)
 
-    segments = []  # (edge, a, b)
-    for e in range(graph.model.edge_count):
-        offs = sorted({Fraction(0), graph.lengths[e]} | cuts.get(e, set()))
-        for a, b in zip(offs, offs[1:]):
-            segments.append((e, a, b))
-
-    parent = list(range(len(segments) + graph.model.vertex_count))
+    parent = list(range(len(segments)))
 
     def find(x):
         while parent[x] != x:
@@ -669,80 +674,39 @@ def components_of_complement(graph, points):
             x = parent[x]
         return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    nseg = len(segments)
-    for i, (e, a, b) in enumerate(segments):
-        u, v = graph.model.edges[e]
-        if a == 0 and u not in cut_vertices:
-            union(i, nseg + u)
-        if b == graph.lengths[e] and v not in cut_vertices:
-            union(i, nseg + v)
+    # pieces meeting at an end that stays in the graph share a component
+    piece_at = {}
+    for s, (_, _, _, i, j) in enumerate(segments):
+        for x in (i, j):
+            if nodes[x] not in removed:
+                parent[find(s)] = find(piece_at.setdefault(x, s))
 
     groups = {}
-    for i in range(nseg):
-        groups.setdefault(find(i), []).append(i)
-
-    out = []
-    for members in groups.values():
-        intervals = {}
-        verts = set()
-        for i in members:
-            e, a, b = segments[i]
-            intervals.setdefault(e, []).append((a, b))
-        out.append(MetricSubgraph.build(graph, vertices=verts, intervals=intervals))
+    for s, (e, a, b, _, _) in enumerate(segments):
+        groups.setdefault(find(s), {}).setdefault(e, []).append((a, b))
+    out = [MetricSubgraph.build(graph, intervals=intervals) for intervals in groups.values()]
     return sorted(out, key=lambda s: (s.intervals, sorted(s.vertices)))
 
 
-def _distance_network(graph, sub):
-    """Cut the model at the subgraph's interior cut points.
-
-    Returns (nodes, node_point, edges) where edges are
-    (node_a, node_b, length, in_subgraph, edge, start_offset).
-    """
-    node_ids = {}
-    node_point = []
-
-    def node(key, point):
-        if key not in node_ids:
-            node_ids[key] = len(node_point)
-            node_point.append(point)
-        return node_ids[key]
-
-    for x in range(graph.model.vertex_count):
-        node(("v", x), Point.vertex(x))
-
-    hedges = []
-    for e in range(graph.model.edge_count):
-        u, v = graph.model.edges[e]
-        offs = sorted({Fraction(0), graph.lengths[e]} | sub.cut_offsets(e))
-        ivs = sub.edge_intervals(e)
-        for a, b in zip(offs, offs[1:]):
-            na = node(("v", u) if a == 0 else ("e", e, a),
-                      Point.vertex(u) if a == 0 else Point.interior(e, a))
-            nb = node(("v", v) if b == graph.lengths[e] else ("e", e, b),
-                      Point.vertex(v) if b == graph.lengths[e] else Point.interior(e, b))
-            inside = any(ia <= a and b <= ib for ia, ib in ivs)
-            hedges.append((na, nb, b - a, inside, e, a))
-    return node_point, node_ids, hedges
-
-
 def _subgraph_distances(graph, sub):
-    """Exact distance from every network node to the subgraph (Dijkstra)."""
-    node_point, node_ids, hedges = _distance_network(graph, sub)
-    n = len(node_point)
-    dist = [None] * n
+    """Cut the model at the subgraph's interval ends.  Returns the pieces,
+    whether each lies in the subgraph, and the exact distance from every cut
+    model point to the subgraph (Dijkstra)."""
+    points, segments = _cut_model(
+        graph, {e: sub.cut_offsets(e) for e in range(graph.model.edge_count)})
+    inside = [any(ia <= a and b <= ib for ia, ib in sub.edge_intervals(e))
+              for e, a, b, _, _ in segments]
+    dist = [None] * len(points)
     heap = []
-    for i, p in enumerate(node_point):
+    for i, p in enumerate(points):
         if sub.contains_point(p):
             dist[i] = Fraction(0)
             heapq.heappush(heap, (Fraction(0), i))
-    adj = [[] for _ in range(n)]
-    for na, nb, ln, inside, _, _ in hedges:
-        w = Fraction(0) if inside else ln
-        adj[na].append((nb, w))
-        adj[nb].append((na, w))
+    adj = [[] for _ in points]
+    for (_, a, b, i, j), ins in zip(segments, inside):
+        w = Fraction(0) if ins else b - a
+        adj[i].append((j, w))
+        adj[j].append((i, w))
     while heap:
         d, i = heapq.heappop(heap)
         if dist[i] is not None and d > dist[i]:
@@ -754,7 +718,7 @@ def _subgraph_distances(graph, sub):
                 heapq.heappush(heap, (nd, j))
     if any(d is None for d in dist):
         raise EmptySubgraph("distance to an empty subgraph is undefined")
-    return node_point, node_ids, hedges, dist
+    return segments, inside, dist
 
 
 def cf_move(graph, sub, l):
@@ -766,13 +730,13 @@ def cf_move(graph, sub, l):
         raise EmptySubgraph("cannot fire an empty subgraph")
     if sub.is_all():
         raise EmptySubgraph("cannot fire the whole graph")
-    node_point, node_ids, hedges, dist = _subgraph_distances(graph, sub)
+    segments, inside, dist = _subgraph_distances(graph, sub)
 
-    per_edge = {}
-    for na, nb, ln, inside, e, start in hedges:
-        pts = {Fraction(0): dist[na], ln: dist[nb]}
-        if not inside:
-            da, db = dist[na], dist[nb]
+    per_edge = [{} for _ in range(graph.model.edge_count)]
+    for (e, a, b, i, j), ins in zip(segments, inside):
+        ln, da, db = b - a, dist[i], dist[j]
+        pts = {Fraction(0): da, ln: db}
+        if not ins:
             # meeting point of the two linear fronts
             t_star = (db - da + ln) / 2
             if 0 < t_star < ln:
@@ -780,37 +744,21 @@ def cf_move(graph, sub, l):
             # crossings with the cap at level l on both rising fronts
             for t in (l - da, ln - (l - db)):
                 if 0 < t < ln:
-                    d_here = min(da + t, db + (ln - t))
-                    pts[t] = d_here
-        bset = per_edge.setdefault(e, {})
+                    pts[t] = min(da + t, db + (ln - t))
         for t, d in pts.items():
-            bset[start + t] = -min(l, d)
-
-    segs = []
-    for e in range(graph.model.edge_count):
-        bps = sorted(per_edge[e].items())
-        segs.append(bps)
-    return PLFunction(graph, segs)
+            per_edge[e][a + t] = -min(l, d)
+    return PLFunction(graph, [sorted(bps.items()) for bps in per_edge])
 
 
 def _sufficiently_small_l(graph, divisor, sub):
-    """A firing distance below every relevant gap: min positive spacing of
-    marked points (vertices, support, subgraph cut points) along each edge,
-    divided by 3."""
-    min_gap = None
-    for e in range(graph.model.edge_count):
-        marks = {Fraction(0), graph.lengths[e]}
-        marks |= sub.cut_offsets(e)
-        for p, _ in divisor.items:
-            if not p.is_vertex and p.index == e:
-                marks.add(p.offset)
-        sm = sorted(marks)
-        for a, b in zip(sm, sm[1:]):
-            gap = b - a
-            if gap > 0 and (min_gap is None or gap < min_gap):
-                min_gap = gap
-    assert min_gap is not None
-    return min_gap / 3
+    """A firing distance below every relevant gap: the shortest piece of the
+    model cut at the subgraph's interval ends and the support, divided by 3."""
+    cuts = {e: sub.cut_offsets(e) for e in range(graph.model.edge_count)}
+    for p, _ in divisor.items:
+        if not p.is_vertex:
+            cuts[p.index].add(p.offset)
+    _, segments = _cut_model(graph, cuts)
+    return min(b - a for _, a, b, _, _ in segments) / 3
 
 
 def can_fire_metric(graph, divisor, sub, l=None):

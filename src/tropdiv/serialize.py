@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .graphs import Divisor, RationalFunction, build_graph
-from .metric import MetricDivisor, MetricGraph, PLFunction
+from .metric import MetricDivisor, MetricGraph
 
 _I64 = 2 ** 63
 
@@ -66,24 +66,12 @@ def graph_from_json(data):
     return build_graph(n, edges, data.get("labels"))
 
 
-def divisor_to_json(d):
-    return {"coeffs": {str(i): int_to_json(c)
-                       for i, c in enumerate(d.coeffs) if c != 0}}
-
-
 def divisor_from_json(data, graph):
     try:
         entries = {int(k): int_from_json(v) for k, v in data["coeffs"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad divisor JSON: {exc}") from exc
     return Divisor.of(graph.vertex_count, entries)
-
-
-def function_to_json(f, degree=None):
-    out = {"values": [int_to_json(v) for v in f.values]}
-    if degree is not None:
-        out["degree"] = degree
-    return out
 
 
 def function_from_json(data):
@@ -156,20 +144,6 @@ def pl_function_to_json(f):
                        "breakpoints": [[frac_to_json(o), frac_to_json(v)]
                                        for o, v in bps]}
                       for e, bps in enumerate(f.segs)]}
-
-
-def pl_function_from_json(data, graph):
-    try:
-        segs = [None] * graph.model.edge_count
-        for row in data["edges"]:
-            segs[int_from_json(row["edge"])] = [
-                (frac_from_json(o), frac_from_json(v))
-                for o, v in row["breakpoints"]]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"bad PL function JSON: {exc}") from exc
-    if any(s is None for s in segs):
-        raise InputError("PL function JSON must cover every edge")
-    return PLFunction(graph, segs)
 
 
 def dumps(obj):

@@ -149,3 +149,41 @@ def parallelepiped_points(rays):
         if any(x) and t is not None and all(0 <= tj < 1 for tj in t):
             out.add(x)
     return out
+
+
+def degree_exact_products(degrees, total):
+    """Multisets of indices with degree sum exactly total, by recursion over
+    the smallest index still allowed (lexicographic order)."""
+
+    def rec(start, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for i in range(start, len(degrees)):
+            d = degrees[i]
+            if 0 < d <= remaining:
+                for rest in rec(i, remaining - d):
+                    yield (i,) + rest
+
+    yield from rec(0, total)
+
+
+def grid_model(base, q):
+    """The 1/q grid subdivision of a metric graph, numbered vertex by vertex:
+    the model vertices, then each edge's grid points j/q (0 < j < q*length)
+    in edge order.  Returns (vertex count, edge list, labels, points)."""
+    from fractions import Fraction
+    from tropdiv.metric import Point
+    n = base.model.vertex_count
+    labels = list(base.model.labels or [f"v{i}" for i in range(n)])
+    points = [Point.vertex(i) for i in range(n)]
+    edges = []
+    for e, (u, v) in enumerate(base.model.edges):
+        prev = u
+        for j in range(1, int(q * base.lengths[e])):
+            labels.append(f"e{e}+{j}")
+            points.append(Point.interior(e, Fraction(j, q)))
+            edges.append((prev, len(points) - 1))
+            prev = len(points) - 1
+        edges.append((prev, v))
+    return len(points), edges, labels, points

@@ -1,0 +1,81 @@
+"""The benchmark's tracer names functions of this package by import path.
+
+bench/tracing.py wraps its TARGETS and COUNTED entries, and
+bench/selftest.py expects every COPIES binding to be one of them.  A
+refactor that renames or drops one of those functions breaks `--trace 1`
+without failing anything else, so these tests resolve every name against
+the loaded package.  They read bench/ and execute none of it but the
+tracer's constant tables.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import tropdiv.cli  # noqa: F401  (loads every tropdiv module)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+def _selftest_copies():
+    tree = ast.parse((BENCH / "selftest.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "COPIES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/selftest.py defines no COPIES")
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        return getattr(owner, cls_name).__dict__[method]
+    return getattr(owner, attr)
+
+
+def test_traced_targets_resolve():
+    missing = []
+    for module_name, attr, *_ in tracing.TARGETS + tracing.COUNTED:
+        try:
+            _resolve(module_name, attr)
+        except (AttributeError, KeyError):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing
+
+
+def test_imported_copies_are_traced_targets():
+    # "tropdiv.cli.rgd_enumerate" or "tropdiv.metric.Refinement.__init__":
+    # the longest loaded module prefix owns the rest of the path
+    originals = {id(_resolve(m, a)) for m, a, _ in tracing.TARGETS}
+    untraced = []
+    for path in _selftest_copies():
+        parts = path.split(".")
+        cut = max(k for k in range(1, len(parts)) if ".".join(parts[:k]) in sys.modules)
+        try:
+            binding = _resolve(".".join(parts[:cut]), ".".join(parts[cut:]))
+        except (AttributeError, KeyError):
+            binding = None
+        if id(binding) not in originals:
+            untraced.append(path)
+    assert not untraced
+
+
+def test_budget_hooks_find_their_argument():
+    # the tracer's budget-headroom hooks bind each call's `budget` argument
+    for name in ("rgd_enumerate", "firing_subsets", "decompose"):
+        fn = next(_resolve(m, a) for m, a, metric in tracing.TARGETS if metric == name)
+        assert "budget" in inspect.signature(fn).parameters, name

@@ -8,13 +8,14 @@ from tropdiv.errors import BudgetExceeded, DegreeOverflow
 from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
                             linear_equiv)
 from tropdiv.intlinalg import frac_rank, smith_normal_form
-from tropdiv.linear_systems import RgdElement, is_extremal, rgd_enumerate
+from tropdiv.linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
 from tropdiv.generators import (
     MonoidCone, _count_products, _degree_exact_products, _parallelepiped_points, build_gn, certify_basis, decompose,
     extreme_rays, graded_cone, hilbert_basis, min_generator_degrees,
     monoid_certificate, verify_gn)
 
-from oracles import brute_force_hilbert_basis, parallelepiped_points, sufficient_box
+from oracles import (brute_force_hilbert_basis, degree_exact_products, parallelepiped_points,
+                     sufficient_box)
 
 
 def basis_slices(gs):
@@ -212,6 +213,36 @@ def test_product_count_matches_enumeration(rng):
         degrees = [rng.randint(-1, 5) for _ in range(rng.randint(0, 7))]
         total = rng.randint(0, 9)
         assert _count_products(degrees, total) == len(list(_degree_exact_products(degrees, total)))
+
+
+def test_product_walk_matches_recursion(rng):
+    # the order fixes which products a certificate names and how many
+    # products decompose reports as checked
+    for _ in range(80):
+        degrees = [rng.randint(-1, 4) for _ in range(rng.randint(0, 6))]
+        total = rng.randint(0, 8)
+        assert (list(_degree_exact_products(degrees, total))
+                == list(degree_exact_products(degrees, total)))
+
+
+def test_decompose_matches_products_summed_afresh(k4):
+    # decompose sums each product from its prefix's values; its certificate
+    # must be the one the cover finds on products summed factor by factor
+    for graph in (k4, build_gn(2)[0]):
+        d = canonical_divisor(graph)
+        # a zero generator would hide a stale prefix sum, so leave it out
+        gens = [el for m in (1, 2) for el in rgd_enumerate(graph, m * d, degree=m)
+                if any(el.function.values)]
+        products = list(degree_exact_products([el.degree for el in gens], 3))
+        values = [[sum(gens[i].function.values[x] for i in p) for x in range(graph.vertex_count)]
+                  for p in products]
+        for target in rgd_enumerate(graph, 3 * d, degree=3)[:30]:
+            cover = oplus_cover(target.function.values, values)
+            cert = decompose(target, gens)
+            assert cert.generated == (cover is not None)
+            if cover is not None:
+                assert cert.terms == tuple((shift, products[i]) for shift, i in cover)
+                assert cert.products_checked == cover[-1][1] + 1
 
 
 def test_min_generator_degrees_theta(theta):

@@ -14,6 +14,8 @@ from tropdiv.metric import (
     metric_firing_subgraphs, refine, rgd_member_metric)
 from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
 
+from oracles import grid_model
+
 
 @pytest.fixture
 def mtheta():
@@ -171,6 +173,28 @@ def test_refine_theta_three(mtheta):
     assert ref.graph.edge_count == 9
     r = mtheta.point(0, F(2, 3))
     assert ref.point_of_vertex(ref.vertex_of_point(r)) == r
+    # an offset past the edge must not run on into the next edge's grid
+    with pytest.raises(InputError):
+        ref.vertex_of_point(Point.interior(0, F(4, 3)))
+
+
+@pytest.mark.parametrize("vertices, edges, lengths, q", [
+    (2, [(0, 1)] * 3, [1, 1, 1], 3),
+    (4, [(i, j) for i in range(4) for j in range(i + 1, 4)], [1, 2, 3, 1, 2, 3], 2),
+    (2, [(0, 1), (0, 1), (0, 1), (0, 0)], [2, F(1, 2), F(3, 2), 1], 2),
+])
+def test_refinement_numbers_the_grid(vertices, edges, lengths, q):
+    # the vertex order and edge list fix the Smith form's pivot order, so
+    # they must match the plain grid numbering exactly
+    base = build_metric_graph(vertices, edges, lengths)
+    ref = refine(base, q)
+    count, grid_edges, labels, points = grid_model(base, q)
+    assert ref.graph.vertex_count == count
+    assert ref.graph.edges == tuple((min(e), max(e)) for e in grid_edges)
+    assert ref.graph.labels == tuple(labels)
+    for i, p in enumerate(points):
+        assert ref.point_of_vertex(i) == p
+        assert ref.vertex_of_point(p) == i
 
 
 def test_refine_non_integral(mtheta):
@@ -276,6 +300,48 @@ def test_components_of_complement(mtheta):
     assert small.edge_intervals(0) == ((F(0), F(2, 3)),)
     assert big.edge_intervals(0) == ((F(2, 3), F(1)),)
     assert big.vertices == frozenset({0, 1})
+
+
+def test_complement_components_partition_the_graph():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 4)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 4))]
+        try:
+            graph = build_metric_graph(n, edges, [rng.randint(1, 3) for _ in edges],
+                                       is_refinement=True)
+        except InputError:
+            continue  # a circle
+        points = {graph.point(e, F(rng.randint(0, int(4 * length)), 4))
+                  for e, length in enumerate(graph.lengths) for _ in range(rng.randint(0, 2))}
+        points |= {Point.vertex(x) for x in range(n) if rng.random() < 0.3}
+        comps = components_of_complement(graph, points)
+        cut = {e: {p.offset for p in points if not p.is_vertex and p.index == e}
+               for e in range(graph.model.edge_count)}
+        for e, length in enumerate(graph.lengths):
+            # the closures tile the edge, meeting only at removed points
+            pieces = sorted(iv for c in comps for iv in c.edge_intervals(e))
+            assert pieces[0][0] == 0 and pieces[-1][1] == length
+            for (_, b), (a, _) in zip(pieces, pieces[1:]):
+                assert a == b and b in cut[e]
+        for x in range(n):
+            if Point.vertex(x) not in points:
+                assert sum(x in c.vertices for c in comps) == 1
+        for c in comps:
+            # each closure is connected through points left in the graph
+            parts = [(e, a, b) for e, ivs in c.intervals for a, b in ivs]
+            reach, stack = {0}, [0]
+            while stack:
+                e, a, b = parts[stack.pop()]
+                ends = {p for p in (graph.point(e, a), graph.point(e, b)) if p not in points}
+                for k, (f, a2, b2) in enumerate(parts):
+                    if k not in reach and ends & {graph.point(f, a2), graph.point(f, b2)}:
+                        reach.add(k)
+                        stack.append(k)
+            assert len(reach) == len(parts)
+        checked += 1
 
 
 def test_firing_family_on_witness_divisor(mtheta):
