@@ -24,10 +24,9 @@ from .generators import (GenerationCertificate, GeneratorSet, MonoidCone,
                          monoid_certificate, verify_gn)
 from .metric import (MetricDivisor, MetricGraph, MetricSubgraph, PLFunction,
                      Point, build_metric_graph, can_fire_metric,
-                     canonical_divisor_metric, cf_move,
-                     components_of_complement, is_extremal_metric,
-                     linear_equiv_metric, metric_firing_subgraphs,
-                     ord_div_metric, refine, rgd_member_metric)
+                     canonical_divisor_metric, cf_move, is_extremal_metric,
+                     linear_equiv_metric, metric_firing_subgraphs, refine,
+                     rgd_member_metric)
 from .witness import (WitnessInstance, WitnessResult, build_witness,
                       check_hypotheses, complete_graph_instance,
                       indecomposability_check, nonfinite_certificate)

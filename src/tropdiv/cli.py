@@ -3,7 +3,7 @@
 Exit codes: 0 computed/verified, 1 verified-false (an asked-for property
 does not hold, or a certificate's proof leg failed with CertificateError),
 2 input error, 3 budget exceeded.  Output is deterministic JSON on stdout
-(DOT or text where requested); diagnostics go to stderr.
+(DOT for `trop witness --format dot`); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .linear_systems import RgdElement, extremals, rgd_enumerate
 from .metric import canonical_divisor_metric, linear_equiv_metric
 from .serialize import (divisor_from_json, dumps, element_to_json,
                         frac_to_json, function_from_json, graph_from_json,
-                        load_json_file, metric_divisor_from_json,
+                        int_from_json, load_json_file, metric_divisor_from_json,
                         metric_divisor_to_json, metric_graph_from_json,
                         pl_function_to_json, point_to_json)
 from .witness import (WitnessInstance, build_witness, check_hypotheses,
@@ -31,13 +31,11 @@ from .witness import (WitnessInstance, build_witness, check_hypotheses,
 @dataclass(frozen=True)
 class Config:
     budget: Budget
-    fmt: str
+    fmt: str  # "json", or "dot" (trop witness only)
     output: str | None
 
 
 def _add_common(parser):
-    parser.add_argument("--format", choices=["json", "dot", "text"],
-                        default="json", dest="fmt")
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
     parser.add_argument("--max-vertices", type=int, default=24,
                         help="cap on support points plus zero-chip components "
@@ -100,6 +98,7 @@ def build_parser():
     p.add_argument("--instance", required=True,
                    help="JSON with 'curve', 'divisor' ('K' allowed), 'edge', 'n'")
     p.add_argument("--s", type=int, required=True)
+    p.add_argument("--format", choices=["json", "dot"], default="json", dest="fmt")
     _add_common(p)
 
     p = tropsub.add_parser("complete-graph",
@@ -118,7 +117,7 @@ def _config(args):
                     max_products=args.max_products)
     if args.max_vertices <= 0 or args.max_degree <= 0 or args.max_products <= 0:
         raise InputError("budgets must be positive")
-    return Config(budget=budget, fmt=args.fmt, output=args.output)
+    return Config(budget=budget, fmt=getattr(args, "fmt", "json"), output=args.output)
 
 
 def _load_graph_divisor(args):
@@ -138,8 +137,8 @@ def _load_instance(path):
             divisor = canonical_divisor_metric(curve)
         else:
             divisor = metric_divisor_from_json(data["divisor"], curve)
-        return WitnessInstance(curve, divisor, edge=int(data["edge"]),
-                               n=int(data["n"]))
+        return WitnessInstance(curve, divisor, edge=int_from_json(data["edge"]),
+                               n=int_from_json(data["n"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad instance JSON: {exc}") from exc
 
@@ -227,7 +226,7 @@ def dispatch(args, config):
         data = load_json_file(args.target)
         target_f = function_from_json(data).normalized()
         try:
-            degree = int(data["degree"])
+            degree = int_from_json(data["degree"])
         except (KeyError, TypeError) as exc:
             raise InputError("target JSON needs a 'degree'") from exc
         below = args.below_degree if args.below_degree is not None else degree - 1

@@ -81,13 +81,12 @@ def extreme_rays(cone):
         null = frac_nullspace(rows, d)
         if len(null) != 1:
             continue
+        # the chosen rows have rank d - 1 and vanish on cand, so a feasible
+        # cand spans an extreme ray
         v = primitive_integer_vector(null[0])
         for cand in (v, [-a for a in v]):
             if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in cone.rows):
-                active = [row for row in cone.rows
-                          if sum(a * b for a, b in zip(row, cand)) == 0]
-                if frac_rank(active) == d - 1:
-                    rays.add(tuple(cand))
+                rays.add(tuple(cand))
                 break
     return sorted(rays)
 

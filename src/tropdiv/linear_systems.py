@@ -189,14 +189,16 @@ def can_fire(graph, divisor, subset):
     return (divisor + ord_and_div(graph, cf)).is_effective()
 
 
-def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
+def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET, *, limit=None,
+                   what="firing search parts"):
     """All proper nonempty subsets that fire on an effective divisor.
 
     A vertex carrying zero chips can only fire if none of its edges leave the
     subset, so the subset restricted to zero-chip vertices is a union of
     connected components of the zero region, and each chosen component drags
     its positively-charged neighbours in.  That cuts the search from 2^|V| to
-    2^(supp) * 2^(components), and the budget caps supp + components.
+    2^(supp) * 2^(components), and supp + components is capped by limit
+    (default budget.max_firing_vertices), reported as `what` when exceeded.
     """
     n = graph.vertex_count
     if not divisor.is_effective():
@@ -225,8 +227,8 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
         comp_list.append(frozenset(comp))
         comp_pos_nbrs.append(frozenset(y for c in comp for y in nbrs[c] if y not in zero))
 
-    budget.check_count(len(positive) + len(comp_list), budget.max_firing_vertices,
-                       "firing search parts")
+    budget.check_count(len(positive) + len(comp_list),
+                       budget.max_firing_vertices if limit is None else limit, what)
 
     out = []
     for srange in range(1 << len(positive)):

@@ -26,6 +26,7 @@ from .errors import (CertificateError, EmptySubgraph, InputError, InvalidPL,
                      NonIntegralRefinement, NotMember, SizeMismatch)
 from .graphs import Divisor, FiniteGraph, RationalFunction, build_graph
 from .graphs import linear_equiv as graph_linear_equiv
+from .linear_systems import firing_subsets
 
 
 def _frac(x):
@@ -130,8 +131,15 @@ class MetricDivisor:
     items: tuple[tuple[Point, int], ...]
 
     def __post_init__(self):
+        model, lengths = self.graph.model, self.graph.lengths
         merged = {}
         for p, c in self.items:
+            if p.is_vertex:
+                on_graph = 0 <= p.index < model.vertex_count
+            else:
+                on_graph = 0 <= p.index < model.edge_count and 0 < p.offset < lengths[p.index]
+            if not on_graph:
+                raise InputError(f"point {p.describe()} is not on the graph")
             merged[p] = merged.get(p, 0) + int(c)
         cleaned = tuple(sorted((p, c) for p, c in merged.items() if c != 0))
         object.__setattr__(self, "items", cleaned)
@@ -274,9 +282,6 @@ class PLFunction:
     def __repr__(self):
         return f"PLFunction({self.segs!r})"
 
-    def vertex_value(self, x):
-        return self._vertex_values[x]
-
     def value_at(self, p):
         if p.is_vertex:
             return self._vertex_values[p.index]
@@ -380,12 +385,6 @@ class PLFunction:
         d = MetricDivisor.of(self.graph, entries)
         assert d.degree() == 0, "principal divisors have degree zero"
         return d
-
-
-def ord_div_metric(graph, f):
-    if f.graph != graph:
-        raise SizeMismatch("function on a different metric graph")
-    return f.div()
 
 
 def rgd_member_metric(graph, divisor, f):
@@ -657,37 +656,6 @@ class MetricSubgraph:
         return out
 
 
-def components_of_complement(graph, points):
-    """Closures of the connected components of the graph minus a point set."""
-    removed = set(points)
-    cuts = {}
-    for p in removed:
-        if not p.is_vertex:
-            cuts.setdefault(p.index, set()).add(p.offset)
-    nodes, segments = _cut_model(graph, cuts)
-
-    parent = list(range(len(segments)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # pieces meeting at an end that stays in the graph share a component
-    piece_at = {}
-    for s, (_, _, _, i, j) in enumerate(segments):
-        for x in (i, j):
-            if nodes[x] not in removed:
-                parent[find(s)] = find(piece_at.setdefault(x, s))
-
-    groups = {}
-    for s, (e, a, b, _, _) in enumerate(segments):
-        groups.setdefault(find(s), {}).setdefault(e, []).append((a, b))
-    out = [MetricSubgraph.build(graph, intervals=intervals) for intervals in groups.values()]
-    return sorted(out, key=lambda s: (s.intervals, sorted(s.vertices)))
-
-
 def _subgraph_distances(graph, sub):
     """Cut the model at the subgraph's interval ends.  Returns the pieces,
     whether each lies in the subgraph, and the exact distance from every cut
@@ -777,36 +745,50 @@ def can_fire_metric(graph, divisor, sub, l=None):
 
 
 def metric_firing_subgraphs(graph, divisor, budget=DEFAULT_BUDGET):
-    """All candidate subgraphs that fire on an effective divisor.
+    """All proper subgraphs that fire on an effective divisor.
 
     A firing subgraph's boundary receives strictly negative order from the
     firing function, so the boundary must sit inside the divisor's support.
-    Such subgraphs are exactly unions of closures of components of the
-    complement of the support, possibly extended by isolated support points;
-    the finite family is enumerated and filtered by can_fire.
+    Cut the model at the interior support points and subdivide every piece
+    once by a zero-chip midpoint: such a subgraph is then the vertex subset
+    of this finite graph holding its points and the midpoints of its closed
+    pieces, and it fires on Gamma exactly when that subset fires, since each
+    boundary point loses one chip per piece leaving the subgraph on both.
+    The family is therefore firing_subsets' on that graph, capped by
+    max_subgraph_parts; every member is replayed through can_fire_metric.
     """
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
-    support = sorted(divisor.support())
-    comps = components_of_complement(graph, support)
-    parts = [("c", c) for c in comps] + \
-            [("p", MetricSubgraph.from_point(graph, p)) for p in support]
-    budget.check_count(len(parts), budget.max_subgraph_parts, "subgraph parts")
-    seen = set()
+    cuts = {}
+    for p, _ in divisor.items:
+        if not p.is_vertex:
+            cuts.setdefault(p.index, []).append(p.offset)
+    points, segments = _cut_model(graph, cuts)
+    mid = len(points)
+    model = build_graph(mid + len(segments),
+                        [edge for m, (_, _, _, i, j) in enumerate(segments, mid)
+                         for edge in ((i, m), (m, j))])
+    chips = [0] * model.vertex_count
+    index = {p: i for i, p in enumerate(points)}
+    for p, c in divisor.items:
+        chips[index[p]] = c
     out = []
-    for mask in range(1, 1 << len(parts)):
-        sub = None
-        for i in range(len(parts)):
-            if mask >> i & 1:
-                sub = parts[i][1] if sub is None else sub.union(parts[i][1])
-        key = (sub.vertices, sub.intervals)
-        if key in seen:
-            continue
-        seen.add(key)
-        if sub.is_empty() or sub.is_all():
-            continue
-        if can_fire_metric(graph, divisor, sub):
-            out.append(sub)
+    for subset in firing_subsets(model, Divisor(tuple(chips)), budget,
+                                 limit=budget.max_subgraph_parts, what="subgraph parts"):
+        vertices, intervals = [], {}
+        for x in subset:
+            if x >= mid:
+                e, a, b, _, _ = segments[x - mid]
+                intervals.setdefault(e, []).append((a, b))
+            elif points[x].is_vertex:
+                vertices.append(x)
+            else:
+                p = points[x]
+                intervals.setdefault(p.index, []).append((p.offset, p.offset))
+        sub = MetricSubgraph.build(graph, vertices, intervals)
+        if not can_fire_metric(graph, divisor, sub):
+            raise CertificateError("firing subgraph fails the can_fire replay")
+        out.append(sub)
     return sorted(out, key=lambda s: (len(s.intervals), s.intervals, sorted(s.vertices)))
 
 

@@ -25,7 +25,10 @@ def int_to_json(x):
 def int_from_json(x):
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"expected an integer, got {x!r}")
-    return int(x)
+    try:
+        return int(x)
+    except ValueError as exc:
+        raise InputError(f"expected an integer, got {x!r}") from exc
 
 
 def frac_to_json(x):

@@ -187,3 +187,63 @@ def grid_model(base, q):
             prev = len(points) - 1
         edges.append((prev, v))
     return len(points), edges, labels, points
+
+
+def components_of_complement(graph, points):
+    """Closures of the connected components of a metric graph minus a point
+    set: a union-find over the pieces of the model cut at the points, joining
+    pieces at every end that stays in the graph."""
+    from tropdiv.metric import MetricSubgraph, _cut_model
+    removed = set(points)
+    cuts = {}
+    for p in removed:
+        if not p.is_vertex:
+            cuts.setdefault(p.index, set()).add(p.offset)
+    nodes, segments = _cut_model(graph, cuts)
+
+    parent = list(range(len(segments)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    piece_at = {}
+    for s, (_, _, _, i, j) in enumerate(segments):
+        for x in (i, j):
+            if nodes[x] not in removed:
+                parent[find(s)] = find(piece_at.setdefault(x, s))
+
+    groups = {}
+    for s, (e, a, b, _, _) in enumerate(segments):
+        groups.setdefault(find(s), {}).setdefault(e, []).append((a, b))
+    out = [MetricSubgraph.build(graph, intervals=intervals) for intervals in groups.values()]
+    return sorted(out, key=lambda s: (s.intervals, sorted(s.vertices)))
+
+
+def metric_firing_subgraphs_by_unions(graph, divisor):
+    """Every union of complement-component closures and support points that
+    is proper, nonempty and passes the definitional can_fire_metric: all
+    2^parts unions, deduplicated."""
+    from tropdiv.metric import MetricSubgraph, can_fire_metric
+    support = sorted(divisor.support())
+    parts = components_of_complement(graph, support) + \
+        [MetricSubgraph.from_point(graph, p) for p in support]
+    seen = set()
+    out = []
+    for mask in range(1, 1 << len(parts)):
+        chosen = [part for i, part in enumerate(parts) if mask >> i & 1]
+        intervals = {}
+        for part in chosen:
+            for e, ivs in part.intervals:
+                intervals.setdefault(e, []).extend(ivs)
+        sub = MetricSubgraph.build(
+            graph, frozenset().union(*(part.vertices for part in chosen)), intervals)
+        key = (sub.vertices, sub.intervals)
+        if key in seen or sub.is_empty() or sub.is_all():
+            continue
+        seen.add(key)
+        if can_fire_metric(graph, divisor, sub):
+            out.append(sub)
+    return sorted(out, key=lambda s: (len(s.intervals), s.intervals, sorted(s.vertices)))

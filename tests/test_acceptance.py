@@ -18,14 +18,14 @@ from tropdiv.generators import (build_gn, certify_basis, graded_cone,
                                 hilbert_basis, verify_gn)
 from tropdiv.metric import (MetricDivisor, MetricSubgraph, PLFunction, Point,
                             build_metric_graph, can_fire_metric,
-                            canonical_divisor_metric, components_of_complement,
-                            is_extremal_metric, linear_equiv_metric,
-                            metric_firing_subgraphs, rgd_member_metric,
-                            _sufficiently_small_l)
+                            canonical_divisor_metric, is_extremal_metric,
+                            linear_equiv_metric, metric_firing_subgraphs,
+                            rgd_member_metric, _sufficiently_small_l)
 from tropdiv.witness import (WitnessInstance, build_witness, check_hypotheses,
                              complete_graph_instance, indecomposability_check)
 
-from oracles import connected_multigraphs, rgd_box_enumerate_fast, sufficient_box
+from oracles import (components_of_complement, connected_multigraphs,
+                     rgd_box_enumerate_fast, sufficient_box)
 
 
 def report(criterion, ok, detail):

@@ -4,30 +4,37 @@ bench/tracing.py wraps its TARGETS and COUNTED entries, and
 bench/selftest.py expects every COPIES binding to be one of them.  A
 refactor that renames or drops one of those functions breaks `--trace 1`
 without failing anything else, so these tests resolve every name against
-the loaded package.  They read bench/ and execute none of it but the
-tracer's constant tables.
+the loaded package.  The last test replays every benchmark job in process
+under the tracer and checks its output with the harness's own checks.
+All of them read bench/ and write nothing there.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import sys
 from pathlib import Path
+
+import pytest
 
 import tropdiv.cli  # noqa: F401  (loads every tropdiv module)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 def _selftest_copies():
@@ -79,3 +86,25 @@ def test_budget_hooks_find_their_argument():
     for name in ("rgd_enumerate", "firing_subsets", "decompose"):
         fn = next(_resolve(m, a) for m, a, metric in tracing.TARGETS if metric == name)
         assert "budget" in inspect.signature(fn).parameters, name
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_bench_jobs_replay_under_the_tracer(name, tmp_path):
+    # round 0 of the default seed: the outputs must pass the harness's checks
+    # and match the pinned sha256, and every layer the workload predicts must
+    # be called
+    workload = workloads.WORKLOADS[name]
+    inputs, paths = workloads.write_inputs(workload, workloads.DEFAULT_SEED, 0, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for job in workload.jobs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = tropdiv.cli.main(workloads.job_argv(job, paths))
+            assert workloads.check_job(workload, job, code, out.getvalue(), inputs,
+                                       pin=True) == [], job.name
+    finally:
+        tracer.restore()
+    assert [layer for layer in workload.reaches
+            if tracer.stats.get(layer, {}).get("calls", 0) == 0] == []

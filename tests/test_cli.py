@@ -171,12 +171,32 @@ def test_trop_witness_command(tmp_path, instance_file):
     assert data["obstruction_holds"] is True
 
 
+THETA_WITNESS_DOT = """graph G {
+  0 [label="p" color="red" xlabel="p"];
+  1 [label="q" color="red" xlabel="q"];
+  r [label="r@2/3" color="blue"];
+  0 -- r [label="2/3"];
+  r -- 1 [label="1/3"];
+  0 -- 1 [label="1"];
+  0 -- 1 [label="1"];
+}
+"""
+
+
 def test_trop_witness_dot(tmp_path, instance_file):
     text = run_cli(tmp_path, ["trop", "witness", "--instance", instance_file,
                               "--s", "1", "--format", "dot"])
-    assert text.startswith("graph G {")
-    assert 'r@2/3' in text
-    assert 'xlabel="p"' in text
+    assert text == THETA_WITNESS_DOT
+
+
+def test_format_is_offered_only_by_trop_witness(tmp_path, theta_file, instance_file):
+    for argv in (["rgd", "--graph", theta_file, "--divisor", "K", "--format", "text"],
+                 ["rgd", "--graph", theta_file, "--divisor", "K", "--format", "json"],
+                 ["trop", "witness", "--instance", instance_file, "--s", "1",
+                  "--format", "text"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "out.txt")])
+        assert exc.value.code == 2, argv
 
 
 def test_trop_witness_failed_leg_exits_1(tmp_path, instance_file, monkeypatch,
@@ -225,6 +245,26 @@ def test_input_error_exit_code(tmp_path, capsys):
     code = main(["rgd", "--graph", "/nonexistent.json", "--divisor", "K"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_non_numeric_json_integers_are_input_errors(tmp_path, theta_file, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(dumps({"vertices": "abc", "edges": [[0, 1]]}))
+    values = tmp_path / "values.json"
+    values.write_text(dumps({"degree": 3, "values": ["x", 1]}))
+    degree = tmp_path / "degree.json"
+    degree.write_text(dumps({"degree": "x", "values": [0, 1]}))
+    instance = tmp_path / "instance.json"
+    instance.write_text(dumps({**THETA_INSTANCE, "edge": "x"}))
+    for argv in (["rgd", "--graph", str(graph), "--divisor", "K"],
+                 ["check-generated", "--graph", theta_file, "--divisor", "K",
+                  "--target", str(values)],
+                 ["check-generated", "--graph", theta_file, "--divisor", "K",
+                  "--target", str(degree)],
+                 ["trop", "witness", "--instance", str(instance), "--s", "1"]):
+        assert main(argv + ["--output", str(tmp_path / "out.json")]) == 2, argv
+        assert "expected an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_budget_exit_code(tmp_path, theta_file):

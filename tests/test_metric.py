@@ -4,17 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropdiv.errors import (EmptySubgraph, InputError, InvalidPL,
-                            NonIntegralRefinement, NotMember, SizeMismatch)
+from tropdiv.budget import Budget
+from tropdiv.errors import (BudgetExceeded, CertificateError, EmptySubgraph,
+                            InputError, InvalidPL, NonIntegralRefinement,
+                            NotMember, SizeMismatch)
 from tropdiv.graphs import RationalFunction
 from tropdiv.metric import (
     MetricDivisor, MetricSubgraph, PLFunction, Point, build_metric_graph,
-    can_fire_metric, canonical_divisor_metric, cf_move,
-    components_of_complement, is_extremal_metric, linear_equiv_metric,
-    metric_firing_subgraphs, refine, rgd_member_metric)
+    can_fire_metric, canonical_divisor_metric, cf_move, is_extremal_metric,
+    linear_equiv_metric, metric_firing_subgraphs, refine, rgd_member_metric)
 from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
 
-from oracles import grid_model
+from oracles import (components_of_complement, grid_model,
+                     metric_firing_subgraphs_by_unions)
 
 
 @pytest.fixture
@@ -354,6 +356,69 @@ def test_firing_family_on_witness_divisor(mtheta):
         intervals={0: [(F(2, 3), F(1))], 1: [(F(0), F(1))], 2: [(F(0), F(1))]})
     assert subs == sorted([point_r, complement],
                           key=lambda s: (len(s.intervals), s.intervals, sorted(s.vertices)))
+
+
+K4_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+FIRING_GRAPHS = {
+    "theta": (2, [(0, 1)] * 3, [1, 1, 1]),
+    "theta-123": (2, [(0, 1)] * 3, [1, 2, 3]),
+    "k4": (4, K4_EDGES, [1] * 6),
+    "k4-123": (4, K4_EDGES, [1, 2, 3, 1, 2, 3]),
+    "dumbbell": (2, [(0, 0), (0, 1), (1, 1)], [1, 1, 1]),
+    "banana-loop": (2, [(0, 1)] * 3 + [(1, 1)], [2, 1, F(3, 2), 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRING_GRAPHS))
+def test_firing_search_matches_the_union_enumerator(name):
+    # 150 divisors per graph, 900 in all: 1-5 support points at vertices or
+    # on the 1/8 grid, 1-3 chips each
+    graph = build_metric_graph(*FIRING_GRAPHS[name])
+    rng = random.Random(f"firing/{name}")
+    for _ in range(150):
+        entries = {}
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.3:
+                p = Point.vertex(rng.randrange(graph.model.vertex_count))
+            else:
+                e = rng.randrange(graph.model.edge_count)
+                p = graph.point(e, F(rng.randint(0, int(8 * graph.lengths[e])), 8))
+            entries[p] = rng.randint(1, 3)
+        divisor = MetricDivisor.of(graph, entries)
+        assert metric_firing_subgraphs(graph, divisor) == \
+            metric_firing_subgraphs_by_unions(graph, divisor), divisor.items
+
+
+def test_firing_search_budget_counts_subgraph_parts(mtheta):
+    # [v0] and the three edge midpoints: 4 support points, and the complement
+    # has 4 components (three half-edges at v0, and the star around v1)
+    divisor = MetricDivisor.of(
+        mtheta, {Point.vertex(0): 1, **{mtheta.point(e, F(1, 2)): 1 for e in range(3)}})
+    with pytest.raises(BudgetExceeded, match=r"^subgraph parts: 8 exceeds budget 4$"):
+        metric_firing_subgraphs(mtheta, divisor, Budget(max_subgraph_parts=4))
+    # the finite firing search's own cap does not apply to metric graphs
+    subs = metric_firing_subgraphs(mtheta, divisor, Budget(max_firing_vertices=3))
+    assert subs == metric_firing_subgraphs_by_unions(mtheta, divisor)
+    assert len(subs) == 8
+
+
+def test_firing_search_replays_every_subgraph(mtheta, monkeypatch):
+    import tropdiv.metric
+    divisor = MetricDivisor.of(mtheta, {Point.vertex(0): 1, mtheta.point(0, F(2, 3)): 3})
+    monkeypatch.setattr(tropdiv.metric, "can_fire_metric", lambda *args: False)
+    with pytest.raises(CertificateError, match="can_fire replay"):
+        metric_firing_subgraphs(mtheta, divisor)
+
+
+def test_divisor_points_must_lie_on_the_graph(mtheta):
+    for point in (Point.interior(0, F(4, 3)), Point.interior(0, F(1)),
+                  Point.interior(0, F(0)), Point.interior(7, F(1, 2)), Point.vertex(9),
+                  Point.vertex(-1)):
+        with pytest.raises(InputError, match="not on the graph"):
+            MetricDivisor.of(mtheta, {point: 2})
+    with pytest.raises(InputError, match="not on the graph"):
+        MetricDivisor(mtheta, ((Point.interior(1, F(2)), 0),))  # even with coefficient 0
+    assert MetricDivisor.of(mtheta, {Point.interior(0, F(1, 3)): 1}).degree() == 1
 
 
 def test_is_extremal_metric_witness(mtheta):
