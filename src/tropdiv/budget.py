@@ -13,8 +13,10 @@ from .errors import BudgetExceeded
 
 @dataclass(frozen=True)
 class Budget:
-    # support points + zero-chip components: the firing-subset search is
-    # exponential in their sum, not in the vertex count
+    # support points + zero-chip components: the exhaustive firing-subset
+    # search is exponential in their sum, not in the vertex count; is_extremal
+    # runs it only to replay an extremal answer, so a non-extremal one (decided
+    # by burning in polynomial time) never meets this cap
     max_firing_vertices: int = 24
     # effective divisors enumerated per linear system
     max_lattice_candidates: int = 2_000_000

@@ -39,7 +39,8 @@ def _add_common(parser):
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
     parser.add_argument("--max-vertices", type=int, default=24,
                         help="cap on support points plus zero-chip components "
-                             "in a firing-subset search")
+                             "in an exhaustive firing-subset search (the replay "
+                             "of an extremal answer)")
     parser.add_argument("--max-degree", type=int, default=64)
     parser.add_argument("--max-products", type=int, default=1_000_000)
 

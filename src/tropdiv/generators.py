@@ -200,7 +200,8 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     elements = []
     for y in basis:
         el = cone.slice_to_element(y)
-        assert el.degree >= 1
+        if el.degree < 1:
+            raise CertificateError("a Hilbert basis element has degree below 1")
         elements.append(el)
     return GeneratorSet(cone.graph, cone.divisor, tuple(sorted(elements)))
 
@@ -438,7 +439,8 @@ def verify_gn(n, budget=DEFAULT_BUDGET):
     graph, roles = build_gn(n)
     k_div = canonical_divisor(graph)
     p, q, r = roles["p"], roles["q"], roles["r"]
-    assert k_div == Divisor.of(graph.vertex_count, {p: 1, q: 1})
+    if k_div != Divisor.of(graph.vertex_count, {p: 1, q: 1}):
+        raise CertificateError("canonical divisor of G_n is not [p] + [q]")
 
     target = Divisor.of(graph.vertex_count, {p: 1, r: 2 * n - 1})
     witness = linear_equiv(graph, target, n * k_div)

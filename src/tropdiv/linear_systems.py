@@ -139,7 +139,8 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     solver = graph.laplacian_solver
     # recession cone of {div(f) + D >= 0} modulo constants must be trivial,
     # which for a connected graph is exactly corank 1 of the Laplacian
-    assert solver.rank == n - 1, "Laplacian corank != 1; graph not connected?"
+    if solver.rank != n - 1:
+        raise CertificateError("Laplacian corank != 1; graph not connected?")
 
     # C(n+d-1, d) effective divisors have degree d; the walk's table is at
     # most (n+d)/(d+1) times that, so this cap bounds it
@@ -246,17 +247,75 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET, *, limit=None,
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def _largest_firing_sets(graph, coeffs):
+    """Yield W_x for one vertex x per part, each as a bitmask: the largest
+    subset avoiding x that fires on the effective divisor coeffs.
+
+    Firing subsets are closed under union, so W_x exists, and Dhar's burning
+    finds it: fire starts at x and crosses every edge; a vertex burns once
+    more burnt edges reach it than it has chips, and the unburnt vertices
+    are W_x.  A firing subset avoiding x never burns: its first vertex to
+    burn would hold fewer chips than its edges leaving the subset.  A
+    zero-chip start burns its whole zero-chip component, so one burn per
+    component stands for all of it; positive vertices burn one by one.
+    """
+    n = graph.vertex_count
+    nbrs = graph.neighbors
+    done = bytearray(n)
+    for x in range(n):
+        if done[x]:
+            continue
+        if not coeffs[x]:
+            stack = [x]
+            done[x] = 1
+            while stack:
+                for y in nbrs[stack.pop()]:
+                    if not coeffs[y] and not done[y]:
+                        done[y] = 1
+                        stack.append(y)
+        hits = [0] * n
+        unburnt = ((1 << n) - 1) ^ (1 << x)
+        stack = [x]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if unburnt >> y & 1:
+                    hits[y] += 1
+                    if hits[y] > coeffs[y]:
+                        unburnt ^= 1 << y
+                        stack.append(y)
+        yield unburnt
+
+
 def is_extremal(graph, divisor, f, budget=DEFAULT_BUDGET):
-    """Extremality: no two proper firing subsets cover all vertices."""
-    if not rgd_member(graph, divisor, f):
-        raise NotMember("f is not in R(G, D)")
+    """Extremality: no two proper firing subsets cover all vertices.
+
+    Every proper firing subset avoids some vertex x and so lies in W_x
+    (_largest_firing_sets), so two of them cover V exactly when two W's do:
+    a polynomial test.  A covering pair is replayed by firing both sets; a
+    no-cover answer is replayed by the exhaustive firing_subsets family,
+    whose size budget.max_firing_vertices caps.
+    """
     e = divisor + ord_and_div(graph, f)
+    if not e.is_effective():
+        raise NotMember("f is not in R(G, D)")
+    n = graph.vertex_count
+    full = (1 << n) - 1
+    masks = []
+    for a in _largest_firing_sets(graph, e.coeffs):
+        for b in masks:
+            if a | b == full:
+                for m in (a, b):
+                    s = frozenset(x for x in range(n) if m >> x & 1)
+                    if not 0 < len(s) < n or not can_fire(graph, e, s):
+                        raise CertificateError("covering pair fails the firing replay")
+                return False
+        masks.append(a)
     subsets = firing_subsets(graph, e, budget)
-    everything = frozenset(range(graph.vertex_count))
+    everything = frozenset(range(n))
     for i, a in enumerate(subsets):
         for b in subsets[i + 1:]:
             if a | b == everything:
-                return False
+                raise CertificateError("exhaustive firing family covers the vertices")
     return True
 
 

@@ -206,16 +206,17 @@ class PLFunction:
     Stored per edge as a breakpoint list [(offset, value), ...] covering
     [0, length]; construction canonicalizes (merges collinear pieces) and
     validates continuity across shared vertices and integrality of slopes.
+    The integer slopes of the canonical pieces are kept per edge.
     """
 
-    __slots__ = ("graph", "segs", "_vertex_values")
+    __slots__ = ("graph", "segs", "_slopes", "_vertex_values")
 
     def __init__(self, graph, segs):
         self.graph = graph
         model = graph.model
         if len(segs) != model.edge_count:
             raise InvalidPL("one breakpoint list per edge required")
-        norm = []
+        norm, runs = [], []
         for e, bps in enumerate(segs):
             bps = [(_frac(o), _frac(v)) for o, v in bps]
             bps.sort()
@@ -230,14 +231,16 @@ class PLFunction:
                 if s.denominator != 1:
                     raise InvalidPL(f"edge {e}: non-integer slope {s}")
                 slopes.append(int(s))
-            keep = [bps[0]]
+            keep, run = [bps[0]], [slopes[0]]
             for i in range(1, len(bps) - 1):
                 if slopes[i - 1] != slopes[i]:
                     keep.append(bps[i])
-            if len(bps) > 1:
-                keep.append(bps[-1])
+                    run.append(slopes[i])
+            keep.append(bps[-1])
             norm.append(tuple(keep))
+            runs.append(tuple(run))
         self.segs = tuple(norm)
+        self._slopes = tuple(runs)
 
         values = [None] * model.vertex_count
         for e, (u, v) in enumerate(model.edges):
@@ -351,39 +354,41 @@ class PLFunction:
         if p.is_vertex:
             total = 0
             for e, (u, v) in enumerate(self.graph.model.edges):
-                bps = self.segs[e]
                 if u == p.index:
-                    total += self._slope(bps, 0)
+                    total += self._slopes[e][0]
                 if v == p.index:
-                    total -= self._slope(bps, len(bps) - 2)
+                    total -= self._slopes[e][-1]
             return total
-        bps = self.segs[p.index]
-        for i, (o, _) in enumerate(bps):
+        if not (0 <= p.index < len(self.segs) and 0 < p.offset < self.graph.lengths[p.index]):
+            raise InputError(f"point {p.describe()} is not inside an edge")
+        slopes = self._slopes[p.index]
+        for i, (o, _) in enumerate(self.segs[p.index]):
             if o == p.offset:
-                return self._slope(bps, i) - self._slope(bps, i - 1)
+                return slopes[i] - slopes[i - 1]
         # interior non-breakpoint: slopes cancel
         return 0
 
-    @staticmethod
-    def _slope(bps, i):
-        (o1, v1), (o2, v2) = bps[i], bps[i + 1]
-        return int((v2 - v1) / (o2 - o1))
-
     def div(self):
-        """Divisor of orders; supported on vertices and interior breakpoints."""
+        """Divisor of orders; supported on vertices and interior breakpoints.
+
+        One pass per edge: its end slopes go to its end vertices and each
+        interior breakpoint, where the slope changes by construction, gets
+        that change.
+        """
         entries = {}
-        for x in range(self.graph.model.vertex_count):
-            c = self.ord_at(Point.vertex(x))
+        vertex_ords = [0] * self.graph.model.vertex_count
+        for e, (u, v) in enumerate(self.graph.model.edges):
+            slopes = self._slopes[e]
+            vertex_ords[u] += slopes[0]
+            vertex_ords[v] -= slopes[-1]
+            for (o, _), s1, s2 in zip(self.segs[e][1:-1], slopes, slopes[1:]):
+                entries[Point.interior(e, o)] = s2 - s1
+        for x, c in enumerate(vertex_ords):
             if c:
                 entries[Point.vertex(x)] = c
-        for e, bps in enumerate(self.segs):
-            for o, _ in bps[1:-1]:
-                p = Point.interior(e, o)
-                c = self.ord_at(p)
-                if c:
-                    entries[p] = c
         d = MetricDivisor.of(self.graph, entries)
-        assert d.degree() == 0, "principal divisors have degree zero"
+        if d.degree() != 0:
+            raise CertificateError("principal divisor has non-zero degree")
         return d
 
 

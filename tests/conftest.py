@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,3 +64,11 @@ def random_multigraph(rng, max_vertices=5, max_extra=4):
 @pytest.fixture
 def rng():
     return random.Random(20240309)
+
+
+def run_optimized(script):
+    """Run a Python snippet under python -O (asserts stripped) against src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})

@@ -101,6 +101,14 @@ def all_firing_subsets(graph, divisor):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def two_cover(family, n):
+    """Whether two members of a family of vertex sets cover range(n): the
+    pair loop of the exhaustive extremality test."""
+    everything = frozenset(range(n))
+    return any(a | b == everything
+               for i, a in enumerate(family) for b in family[i + 1:])
+
+
 def connected_multigraphs(max_vertices, max_edges):
     """All connected multigraphs (loops allowed) up to isomorphism."""
     from tropdiv.graphs import build_graph

@@ -14,6 +14,7 @@ from tropdiv.generators import (
     extreme_rays, graded_cone, hilbert_basis, min_generator_degrees,
     monoid_certificate, verify_gn)
 
+from conftest import run_optimized
 from oracles import (brute_force_hilbert_basis, degree_exact_products, parallelepiped_points,
                      sufficient_box)
 
@@ -342,3 +343,35 @@ def test_gn_slope_identity_on_first_solvable_degree():
     assert hv[p] - hv[q] == 9 + 3 * (hv[u] + hv[w] - 2 * hv[p])
     assert hv[p] - hv[q] == 3 * (hv[p] - hv[u])
     assert 9 == 3 * (3 * hv[p] - 2 * hv[u] - hv[w])
+
+
+def test_gn_canonical_divisor_check_survives_optimized_mode():
+    proc = run_optimized(
+        "import tropdiv.generators as gen\n"
+        "from tropdiv.errors import CertificateError\n"
+        "from tropdiv.graphs import Divisor\n"
+        "gen.canonical_divisor = lambda graph: Divisor.zero(graph.vertex_count)\n"
+        "try:\n"
+        "    gen.verify_gn(2)\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "canonical divisor of G_n is not [p] + [q]\n"
+
+
+def test_hilbert_basis_degree_check_survives_optimized_mode():
+    proc = run_optimized(
+        "import tropdiv.generators as gen\n"
+        "from tropdiv.errors import CertificateError\n"
+        "from tropdiv.graphs import build_graph, canonical_divisor\n"
+        "from tropdiv.linear_systems import RgdElement\n"
+        "lift = gen.MonoidCone.slice_to_element\n"
+        "gen.MonoidCone.slice_to_element = "
+        "lambda cone, y: RgdElement(0, lift(cone, y).function)\n"
+        "theta = build_graph(2, [(0, 1)] * 3)\n"
+        "try:\n"
+        "    gen.hilbert_basis(gen.graded_cone(theta, canonical_divisor(theta)))\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a Hilbert basis element has degree below 1\n"

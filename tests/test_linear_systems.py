@@ -1,16 +1,20 @@
+import random
+
 import pytest
 
+import tropdiv.linear_systems
+
 from tropdiv.budget import Budget
-from tropdiv.errors import CertificateError, EmptyOrFullSubset, NotMember
+from tropdiv.errors import BudgetExceeded, CertificateError, EmptyOrFullSubset, NotMember
 from tropdiv.generators import build_gn
 from tropdiv.graphs import Divisor, RationalFunction, build_graph, canonical_divisor, ord_and_div
 from tropdiv.linear_systems import (
-    _effective_divisor_matrix, can_fire, extremals, firing_subsets, is_extremal,
-    odot, oplus, oplus_cover, rgd_enumerate, rgd_member, scale)
+    _effective_divisor_matrix, _largest_firing_sets, can_fire, extremals, firing_subsets,
+    is_extremal, odot, oplus, oplus_cover, rgd_enumerate, rgd_member, scale)
 
-from conftest import random_multigraph
+from conftest import random_multigraph, run_optimized
 from oracles import (all_firing_subsets, divisor_class_scan, rgd_box_enumerate,
-                     rgd_box_enumerate_fast)
+                     rgd_box_enumerate_fast, two_cover)
 
 
 def reps(elements):
@@ -256,3 +260,121 @@ def test_is_extremal_invariant_under_scale(theta, rng):
         base = is_extremal(theta, k3, el.function)
         for c in (-7, 1, 12):
             assert is_extremal(theta, k3, scale(c, el.function)) == base
+
+
+def zero_components(graph, coeffs):
+    comps, seen = 0, set()
+    for x in range(graph.vertex_count):
+        if coeffs[x] or x in seen:
+            continue
+        comps += 1
+        stack = [x]
+        seen.add(x)
+        while stack:
+            for y in graph.neighbors[stack.pop()]:
+                if not coeffs[y] and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return comps
+
+
+def check_burning(graph, e, family):
+    """Each burn's W_x is the union of the family's sets avoiding x, and the
+    burning answer of is_extremal is the pair loop's."""
+    n = graph.vertex_count
+    masks = _largest_firing_sets(graph, e.coeffs)
+    got = {frozenset(x for x in range(n) if m >> x & 1) for m in masks}
+    expect = {frozenset().union(*(s for s in family if x not in s)) for x in range(n)}
+    assert got == expect
+    assert is_extremal(graph, e, RationalFunction((0,) * n)) == (not two_cover(family, n))
+
+
+def test_burning_matches_the_exhaustive_family_on_random_multigraphs():
+    rng = random.Random(20261018)
+    seen = {"loops": 0, "parallel": 0, "zero components >= 2": 0}
+    for _ in range(400):
+        g = random_multigraph(rng, max_vertices=7, max_extra=6)
+        e = Divisor(tuple(rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(g.vertex_count)))
+        seen["loops"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(g.edges)) < len(g.edges)
+        seen["zero components >= 2"] += zero_components(g, e.coeffs) >= 2
+        check_burning(g, e, all_firing_subsets(g, e))
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("name, m_max", [("G_2", 3), ("G_3", 3), ("G_4", 3),
+                                         ("theta", 3), ("K_4", 2)])
+def test_burning_matches_the_exhaustive_family_on_linear_systems(name, m_max, theta, k4):
+    # the graphs have up to 20 vertices, so the family is firing_subsets',
+    # which test_firing_subsets_match_bruteforce ties to all_firing_subsets
+    g = {"theta": theta, "K_4": k4}.get(name) or build_gn(int(name[2:]))[0]
+    k = canonical_divisor(g)
+    for m in range(1, m_max + 1):
+        for el in rgd_enumerate(g, m * k, degree=m):
+            e = m * k + ord_and_div(g, el.function)
+            check_burning(g, e, firing_subsets(g, e))
+
+
+def test_firing_subsets_are_closed_under_union(rng):
+    for _ in range(150):
+        g = random_multigraph(rng, max_vertices=6, max_extra=5)
+        e = Divisor(tuple(rng.randint(0, 2) for _ in range(g.vertex_count)))
+        family = set(all_firing_subsets(g, e))
+        for a in family:
+            for b in family:
+                assert a | b in family or len(a | b) == g.vertex_count
+
+
+def test_non_extremal_answers_need_no_firing_budget(theta):
+    k3 = 3 * canonical_divisor(theta)
+    assert not is_extremal(theta, k3, RationalFunction((1, 1)), Budget(max_firing_vertices=0))
+    with pytest.raises(BudgetExceeded):
+        is_extremal(theta, k3, RationalFunction((0, 1)), Budget(max_firing_vertices=0))
+
+
+def test_covering_pair_replay_rejects_a_wrong_family(theta, monkeypatch):
+    # on K = [p] + [q] neither vertex fires alone, yet the family claims both do
+    monkeypatch.setattr(tropdiv.linear_systems, "_largest_firing_sets",
+                        lambda graph, coeffs: [0b01, 0b10])
+    with pytest.raises(CertificateError, match="firing replay"):
+        is_extremal(theta, canonical_divisor(theta), RationalFunction((0, 0)))
+
+
+def test_no_cover_replay_rejects_a_wrong_family(theta, monkeypatch):
+    # (1, 1) in R(theta, 3K) is covered by {p} and {q}; the family hides them
+    k3 = 3 * canonical_divisor(theta)
+    assert not is_extremal(theta, k3, RationalFunction((1, 1)))
+    monkeypatch.setattr(tropdiv.linear_systems, "_largest_firing_sets",
+                        lambda graph, coeffs: [])
+    with pytest.raises(CertificateError, match="exhaustive firing family"):
+        is_extremal(theta, k3, RationalFunction((1, 1)))
+
+
+def test_only_extremal_answers_run_the_exhaustive_family(monkeypatch):
+    g = build_gn(4)[0]
+    calls = []
+    original = tropdiv.linear_systems.firing_subsets
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tropdiv.linear_systems, "firing_subsets", counted)
+    assert len(extremals(g, 3 * canonical_divisor(g), degree=3)) == 23
+    assert len(calls) == 23
+
+
+def test_corank_check_survives_optimized_mode():
+    proc = run_optimized(
+        "from tropdiv.errors import CertificateError\n"
+        "from tropdiv.graphs import Divisor, build_graph\n"
+        "from tropdiv.intlinalg import SmithSolver\n"
+        "g = build_graph(2, [(0, 1)] * 3)\n"
+        "g.__dict__['laplacian_solver'] = SmithSolver([[0, 0], [0, 0]])\n"
+        "from tropdiv.linear_systems import rgd_enumerate\n"
+        "try:\n"
+        "    rgd_enumerate(g, Divisor((1, 1)))\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Laplacian corank != 1; graph not connected?\n"

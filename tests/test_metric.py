@@ -15,6 +15,7 @@ from tropdiv.metric import (
     linear_equiv_metric, metric_firing_subgraphs, refine, rgd_member_metric)
 from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
 
+from conftest import run_optimized
 from oracles import (components_of_complement, grid_model,
                      metric_firing_subgraphs_by_unions)
 
@@ -105,6 +106,14 @@ def test_constant_divisor_is_zero(mtheta):
     assert PLFunction.constant(mtheta, F(5, 7)).div() == MetricDivisor.zero(mtheta)
 
 
+def test_order_at_a_point_outside_every_edge_interior(mtheta):
+    f = tent(mtheta)
+    assert f.ord_at(Point.interior(0, F(2, 3))) == 3
+    for p in (Point.interior(0, 0), Point.interior(0, 1), Point.interior(3, F(1, 2))):
+        with pytest.raises(InputError):
+            f.ord_at(p)
+
+
 def test_cycle_slopes_two_ways(mk4):
     # slopes 1, 1, -2 around a triangle; the remaining vertex sits level
     f = PLFunction.from_vertex_values(mk4, [0, 1, 2, 0])
@@ -143,7 +152,7 @@ def test_telescoping_identity(mtheta):
         f = ref.function_from_graph(
             [rng.randint(-5, 5) for _ in range(ref.graph.vertex_count)])
         for e, bps in enumerate(f.segs):
-            total = sum(PLFunction._slope(bps, i) * (bps[i + 1][0] - bps[i][0])
+            total = sum(f._slopes[e][i] * (bps[i + 1][0] - bps[i][0])
                         for i in range(len(bps) - 1))
             assert total == bps[-1][1] - bps[0][1]
 
@@ -482,3 +491,19 @@ def test_membership_after_oplus_odot(mtheta):
             assert rgd_member_metric(mtheta, degrees[i] * k, pool[i].oplus(pool[j]))
         assert rgd_member_metric(mtheta, (degrees[i] + degrees[j]) * k,
                                  pool[i].odot(pool[j]))
+
+
+def test_div_degree_check_survives_optimized_mode():
+    proc = run_optimized(
+        "import tropdiv.metric as metric\n"
+        "from tropdiv.errors import CertificateError\n"
+        "build = metric.MetricDivisor.of\n"
+        "metric.MetricDivisor.of = staticmethod(lambda graph, entries: build(\n"
+        "    graph, {**entries, metric.Point.vertex(0): 1}))\n"
+        "theta = metric.build_metric_graph(2, [(0, 1)] * 3, [1, 1, 1])\n"
+        "try:\n"
+        "    metric.PLFunction.constant(theta, 0).div()\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "principal divisor has non-zero degree\n"
