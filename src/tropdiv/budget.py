@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DegreeOverflow
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,8 @@ class Budget:
     # support points + zero-chip components: the exhaustive firing-subset
     # search is exponential in their sum, not in the vertex count; is_extremal
     # runs it only to replay an extremal answer, so a non-extremal one (decided
-    # by burning in polynomial time) never meets this cap
+    # by burning in polynomial time) never meets this cap; metric_firing_subgraphs
+    # (trop witness, trop complete-graph) runs it on the subdivided support model
     max_firing_vertices: int = 24
     # effective divisors enumerated per linear system
     max_lattice_candidates: int = 2_000_000
@@ -24,11 +25,8 @@ class Budget:
     max_products: int = 1_000_000
     # largest graded degree accepted by decomposition searches
     max_degree: int = 64
-    # components + support points combined in metric subgraph searches
-    max_subgraph_parts: int = 20
 
     def check_degree(self, m):
-        from .errors import DegreeOverflow
         if m > self.max_degree:
             raise DegreeOverflow(f"degree {m} exceeds budget {self.max_degree}")
 

@@ -40,7 +40,8 @@ def _add_common(parser):
     parser.add_argument("--max-vertices", type=int, default=24,
                         help="cap on support points plus zero-chip components "
                              "in an exhaustive firing-subset search (the replay "
-                             "of an extremal answer)")
+                             "of an extremal answer, and the metric firing "
+                             "search of trop witness and trop complete-graph)")
     parser.add_argument("--max-degree", type=int, default=64)
     parser.add_argument("--max-products", type=int, default=1_000_000)
 

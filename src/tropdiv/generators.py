@@ -27,8 +27,7 @@ from .errors import (CertificateError, DegenerateCone, InputError,
                      SizeMismatch)
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
-from .intlinalg import (frac_nullspace, frac_rank, primitive_integer_vector,
-                        smith_normal_form)
+from .intlinalg import frac_nullspace, frac_rank, smith_normal_form
 from .linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
 
 
@@ -81,9 +80,9 @@ def extreme_rays(cone):
         null = frac_nullspace(rows, d)
         if len(null) != 1:
             continue
-        # the chosen rows have rank d - 1 and vanish on cand, so a feasible
-        # cand spans an extreme ray
-        v = primitive_integer_vector(null[0])
+        # the chosen rows have rank d - 1 and vanish on the primitive kernel
+        # vector v, so a feasible one of +-v spans an extreme ray
+        v = null[0]
         for cand in (v, [-a for a in v]):
             if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in cone.rows):
                 rays.add(tuple(cand))

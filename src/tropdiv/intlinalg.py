@@ -1,14 +1,15 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over Python ints / Fractions; no floating point.
-The Smith form drives integer solvability tests (lattice membership) and
-witness recovery for linear equivalence of divisors.
+The Smith form is the one elimination: it drives integer solvability tests
+(lattice membership), witness recovery for linear equivalence of divisors,
+and the rational rank, kernel and solves of the frac_* helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def identity_matrix(n):
@@ -132,78 +133,49 @@ class SmithSolver:
         return mat_vec(self.V, y + [0] * (self.n - self.rank))
 
 
-def _gauss_jordan(rows, ncols):
-    """Reduced row echelon form over the rationals, pivoting in the first ncols columns.
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators.
 
-    Returns (M, pivots): M is the reduced copy of rows as Fractions, in which
-    row r < len(pivots) has a 1 in column pivots[r] and every other row a 0
-    there, and the rows past len(pivots) vanish in the first ncols columns.
-    Columns past ncols (an augmented right-hand side) are carried along.
+    Scaling rows keeps the rank and the kernel, and keeps the solutions when
+    the right-hand side rides along as a column.  smith_normal_form needs
+    integers: with Fraction entries its remainders need not reach zero.
     """
-    M = [[Fraction(x) for x in row] for row in rows]
-    m = len(M)
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [a * inv for a in M[r]]
-        for i in range(m):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-    return M, pivots
+    dens = (lcm(*(x.denominator for x in row)) for row in rows)
+    return [[int(x * d) for x in row] for row, d in zip(rows, dens)]
+
+
+def _rank(S):
+    return sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
 
 
 def frac_rank(rows):
-    """Rank of a matrix over the rationals (Gaussian elimination, exact)."""
-    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+    """Rank over the rationals: the non-zero invariant factors of the Smith form."""
+    return _rank(smith_normal_form(_integer_rows(rows))[1]) if rows else 0
 
 
 def frac_nullspace(rows, n):
-    """Basis of {x : A x = 0} over the rationals; rows may be empty."""
-    M, pivots = _gauss_jordan(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
-        basis.append(v)
-    return basis
+    """Basis of {x : A x = 0} over the rationals; rows may be empty.
 
-
-def primitive_integer_vector(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    lcm = 1
-    for x in v:
-        f = Fraction(x)
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(Fraction(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    With U A V = S, the columns of V past the rank span the kernel.  V is
+    unimodular, so they are a basis of the integer kernel lattice, each a
+    primitive integer vector.
+    """
+    _, S, V = smith_normal_form(_integer_rows(rows) or [[0] * n])
+    return [[row[j] for row in V] for j in range(_rank(S), n)]
 
 
 def frac_solve(A, b):
     """Solve A x = b over the rationals; None if inconsistent.
 
-    A square or rectangular; returns one solution with free variables at 0.
+    With U A V = S (each row and its entry of b scaled to integers alike),
+    A x = b is solvable exactly when U b vanishes past the rank r, and
+    x = V (U b / s) is one solution, its entries of U b / s past r set to 0.
     """
     n = len(A[0]) if A else 0
-    M, pivots = _gauss_jordan([list(row) + [bb] for row, bb in zip(A, b)], n)
-    if any(row[n] != 0 for row in M[len(pivots):]):
+    Ab = _integer_rows([list(row) + [y] for row, y in zip(A, b)])
+    U, S, V = smith_normal_form([row[:n] for row in Ab] or [[0] * n])
+    c = mat_vec(U, [row[n] for row in Ab])
+    r = _rank(S)
+    if any(c[r:]):
         return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = M[r][n]
-    return x
-
+    return mat_vec(V, [Fraction(c[i], S[i][i]) for i in range(r)] + [0] * (n - r))

@@ -190,16 +190,15 @@ def can_fire(graph, divisor, subset):
     return (divisor + ord_and_div(graph, cf)).is_effective()
 
 
-def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET, *, limit=None,
-                   what="firing search parts"):
+def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
     """All proper nonempty subsets that fire on an effective divisor.
 
     A vertex carrying zero chips can only fire if none of its edges leave the
     subset, so the subset restricted to zero-chip vertices is a union of
     connected components of the zero region, and each chosen component drags
     its positively-charged neighbours in.  That cuts the search from 2^|V| to
-    2^(supp) * 2^(components), and supp + components is capped by limit
-    (default budget.max_firing_vertices), reported as `what` when exceeded.
+    2^(supp) * 2^(components), and supp + components is capped by
+    budget.max_firing_vertices.
     """
     n = graph.vertex_count
     if not divisor.is_effective():
@@ -228,8 +227,8 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET, *, limit=None,
         comp_list.append(frozenset(comp))
         comp_pos_nbrs.append(frozenset(y for c in comp for y in nbrs[c] if y not in zero))
 
-    budget.check_count(len(positive) + len(comp_list),
-                       budget.max_firing_vertices if limit is None else limit, what)
+    budget.check_count(len(positive) + len(comp_list), budget.max_firing_vertices,
+                       "firing search parts")
 
     out = []
     for srange in range(1 << len(positive)):

@@ -759,8 +759,8 @@ def metric_firing_subgraphs(graph, divisor, budget=DEFAULT_BUDGET):
     of this finite graph holding its points and the midpoints of its closed
     pieces, and it fires on Gamma exactly when that subset fires, since each
     boundary point loses one chip per piece leaving the subgraph on both.
-    The family is therefore firing_subsets' on that graph, capped by
-    max_subgraph_parts; every member is replayed through can_fire_metric.
+    The family is therefore firing_subsets' on that graph, under its cap
+    max_firing_vertices; every member is replayed through can_fire_metric.
     """
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
@@ -778,8 +778,7 @@ def metric_firing_subgraphs(graph, divisor, budget=DEFAULT_BUDGET):
     for p, c in divisor.items:
         chips[index[p]] = c
     out = []
-    for subset in firing_subsets(model, Divisor(tuple(chips)), budget,
-                                 limit=budget.max_subgraph_parts, what="subgraph parts"):
+    for subset in firing_subsets(model, Divisor(tuple(chips)), budget):
         vertices, intervals = [], {}
         for x in subset:
             if x >= mid:

@@ -147,7 +147,7 @@ def brute_force_hilbert_basis(cone, max_height, box):
 def parallelepiped_points(rays):
     """Non-zero integer points of {sum t_j r_j : t_j in [0, 1)} for independent
     rays: scan the bounding box and keep each x whose coordinates t, solved
-    for over the rationals, lie in [0, 1)."""
+    for over the rationals and checked against R t = x, lie in [0, 1)."""
     R = [[r[c] for r in rays] for c in range(len(rays[0]))]  # rays as columns
     ranges = [range(sum(min(a, 0) for a in row), sum(max(a, 0) for a in row) + 1)
               for row in R]
@@ -155,8 +155,31 @@ def parallelepiped_points(rays):
     for x in itertools.product(*ranges):
         t = frac_solve(R, list(x))
         if any(x) and t is not None and all(0 <= tj < 1 for tj in t):
+            assert [sum(a * tj for a, tj in zip(row, t)) for row in R] == list(x)
             out.add(x)
     return out
+
+
+def det(M):
+    """Determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def rank_by_minors(A):
+    """Rank over the rationals without elimination: the largest r with a
+    non-zero r x r minor (every larger minor expands into r x r ones)."""
+    m, n = len(A), len(A[0]) if A else 0
+    rank = 0
+    for r in range(1, min(m, n) + 1):
+        if not any(det([[A[i][j] for j in cols] for i in rows])
+                   for rows in itertools.combinations(range(m), r)
+                   for cols in itertools.combinations(range(n), r)):
+            break
+        rank = r
+    return rank
 
 
 def degree_exact_products(degrees, total):

@@ -210,18 +210,33 @@ def test_trop_witness_failed_leg_exits_1(tmp_path, instance_file, monkeypatch,
     assert not (tmp_path / "out.json").exists()
 
 
-def test_trop_witness_factors_two_models(tmp_path, smith_calls):
-    # K_4, s = 2: one model for the hypotheses, one for the obstruction table
+@pytest.fixture
+def k4_instance_file(tmp_path):
     edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
-    instance = tmp_path / "k4.json"
-    instance.write_text(dumps({
+    path = tmp_path / "k4.json"
+    path.write_text(dumps({
         "curve": {"model": {"vertices": 4, "edges": edges},
                   "lengths": {str(e): "1" for e in range(6)}},
         "divisor": "K", "edge": 0, "n": 2}))
+    return str(path)
+
+
+def test_trop_witness_factors_two_models(tmp_path, k4_instance_file, smith_calls):
+    # K_4, s = 2: one model for the hypotheses, one for the obstruction table
     data = json.loads(run_cli(tmp_path, ["trop", "witness", "--instance",
-                                         str(instance), "--s", "2"]))
+                                         k4_instance_file, "--s", "2"]))
     assert data["obstruction_holds"] is True
     assert len(smith_calls) == 2
+
+
+def test_max_vertices_caps_the_metric_firing_search(tmp_path, k4_instance_file):
+    # K_4, s = 2: the witness's firing search on the support model has 4 parts
+    for argv in (["trop", "complete-graph", "--n", "4", "--s", "2"],
+                 ["trop", "witness", "--instance", k4_instance_file, "--s", "2"]):
+        data = json.loads(run_cli(tmp_path, argv + ["--max-vertices", "3"], expect_code=3))
+        assert data == {"detail": "firing search parts: 4 exceeds budget 3",
+                        "error": "budget exceeded"}
+        run_cli(tmp_path, argv + ["--max-vertices", "4"])
 
 
 def test_trop_complete_graph_command(tmp_path):

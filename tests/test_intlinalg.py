@@ -1,4 +1,5 @@
 import itertools
+import signal
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,8 @@ from tropdiv.intlinalg import (SmithSolver, frac_nullspace, frac_rank, frac_solv
                                mat_vec, smith_normal_form)
 from tropdiv.metric import Refinement
 from tropdiv.witness import complete_graph_instance
+
+from oracles import det, rank_by_minors
 
 
 def mat_mul(A, B):
@@ -31,13 +34,6 @@ def random_matrices(rng, count=60):
     return out
 
 
-def det(M):
-    if not M:
-        return 1
-    return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]])
-               for j in range(len(M)) if M[0][j])
-
-
 def minor_gcd(A, r):
     """gcd of the r x r minors: the covolume of the column lattice of a rank-r A."""
     g = 0
@@ -51,8 +47,8 @@ def in_column_lattice(A, b):
     """Independent oracle: b is an integer combination of A's columns iff
     appending b changes neither the rank nor the gcd of the maximal minors."""
     Ab = [row + [x] for row, x in zip(A, b)]
-    r = frac_rank(A)
-    return frac_rank(Ab) == r and minor_gcd(A, r) == minor_gcd(Ab, r)
+    r = rank_by_minors(A)
+    return rank_by_minors(Ab) == r and minor_gcd(A, r) == minor_gcd(Ab, r)
 
 
 def checked_smith_form(A):
@@ -130,15 +126,61 @@ def test_image_test_agrees_with_solve_and_lattice_oracle(rng):
 
 
 def test_frac_rank_nullity(rng):
+    # rank and nullity against the minors oracle, not against the Smith form
     for A in random_matrices(rng):
         n = len(A[0])
         null = frac_nullspace(A, n)
-        assert frac_rank(A) + len(null) == n
-        assert frac_rank(null) == len(null)
+        assert frac_rank(A) == rank_by_minors(A)
+        assert rank_by_minors(A) + len(null) == n
+        assert rank_by_minors(null) == len(null)
         for v in null:
             assert all(x == 0 for x in mat_vec(A, v))
     assert frac_rank([]) == 0
     assert frac_nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def assert_primitive_integer_vectors(vectors):
+    # the kernel columns of a unimodular V: integers with gcd 1
+    for v in vectors:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+
+
+def test_frac_nullspace_vectors_are_primitive_integer_vectors(rng):
+    nulls = [frac_nullspace(A, len(A[0])) for A in random_matrices(rng)]
+    assert sum(map(len, nulls)) > 20
+    for null in nulls:
+        assert_primitive_integer_vectors(null)
+
+
+def test_frac_elimination_returns_on_a_rational_5x5(rng):
+    # smith_normal_form need not return on Fraction entries, so the frac_*
+    # helpers must scale rows to integers first; the alarm turns a hang into
+    # a failure
+    def timeout(signum, frame):
+        raise TimeoutError("frac_* elimination did not return on a rational 5 x 5")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        for i in range(6):
+            A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)]
+                 for _ in range(5)]
+            if i % 2:
+                A[4] = [a - Fraction(2, 3) * c for a, c in zip(A[0], A[1])]
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)]
+            r = frac_rank(A)
+            null = frac_nullspace(A, 5)
+            x = frac_solve(A, b)
+            assert r == rank_by_minors(A) == 5 - len(null)
+            assert_primitive_integer_vectors(null)
+            assert all(c == 0 for v in null for c in mat_vec(A, v))
+            assert (x is not None) == (rank_by_minors([row + [y] for row, y in zip(A, b)]) == r)
+            if x is not None:
+                assert mat_vec(A, x) == b
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_frac_solve(rng):
@@ -149,11 +191,10 @@ def test_frac_solve(rng):
         if rng.random() < 0.5:
             b[rng.randrange(m)] += 1
         x = frac_solve(A, b)
-        consistent = frac_rank([row + [y] for row, y in zip(A, b)]) == frac_rank(A)
+        consistent = rank_by_minors([row + [y] for row, y in zip(A, b)]) == rank_by_minors(A)
         assert (x is not None) == consistent
         if x is not None:
             assert mat_vec(A, x) == b
         seen.add(consistent)
     assert seen == {True, False}
     assert frac_solve([[1, 2], [2, 4]], [1, 3]) is None
-

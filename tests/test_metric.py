@@ -400,13 +400,13 @@ def test_firing_search_matches_the_union_enumerator(name):
 
 def test_firing_search_budget_counts_subgraph_parts(mtheta):
     # [v0] and the three edge midpoints: 4 support points, and the complement
-    # has 4 components (three half-edges at v0, and the star around v1)
+    # has 4 components (three half-edges at v0, and the star around v1); the
+    # one firing search cap, max_firing_vertices, counts all 8 parts
     divisor = MetricDivisor.of(
         mtheta, {Point.vertex(0): 1, **{mtheta.point(e, F(1, 2)): 1 for e in range(3)}})
-    with pytest.raises(BudgetExceeded, match=r"^subgraph parts: 8 exceeds budget 4$"):
-        metric_firing_subgraphs(mtheta, divisor, Budget(max_subgraph_parts=4))
-    # the finite firing search's own cap does not apply to metric graphs
-    subs = metric_firing_subgraphs(mtheta, divisor, Budget(max_firing_vertices=3))
+    with pytest.raises(BudgetExceeded, match=r"^firing search parts: 8 exceeds budget 4$"):
+        metric_firing_subgraphs(mtheta, divisor, Budget(max_firing_vertices=4))
+    subs = metric_firing_subgraphs(mtheta, divisor, Budget(max_firing_vertices=8))
     assert subs == metric_firing_subgraphs_by_unions(mtheta, divisor)
     assert len(subs) == 8
 
