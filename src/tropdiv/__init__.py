@@ -11,8 +11,8 @@ from .budget import Budget, DEFAULT_BUDGET
 from .errors import (BudgetExceeded, CertificateError, DegenerateCone,
                      DegreeOverflow, Disconnected, EmptyOrFullSubset,
                      EmptySubgraph, HypothesisFailure, IndexOutOfRange,
-                     InputError, InvalidPL, NonIntegralRefinement, NotMember,
-                     SizeMismatch, TropdivError)
+                     InputError, InvalidPL, NotMember, SizeMismatch,
+                     TropdivError)
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, genus, linear_equiv, ord_and_div)
 from .linear_systems import (RgdElement, can_fire, extremals, firing_subsets,
@@ -23,9 +23,9 @@ from .generators import (GenerationCertificate, GeneratorSet, MonoidCone,
                          graded_cone, hilbert_basis, min_generator_degrees,
                          monoid_certificate, verify_gn)
 from .metric import (MetricDivisor, MetricGraph, MetricSubgraph, PLFunction,
-                     Point, build_metric_graph, can_fire_metric,
+                     Point, Refinement, build_metric_graph, can_fire_metric,
                      canonical_divisor_metric, cf_move, is_extremal_metric,
-                     linear_equiv_metric, metric_firing_subgraphs, refine,
+                     linear_equiv_metric, metric_firing_subgraphs,
                      rgd_member_metric)
 from .witness import (WitnessInstance, WitnessResult, build_witness,
                       check_hypotheses, complete_graph_instance,

@@ -226,7 +226,7 @@ def dispatch(args, config):
     if cmd == "check-generated":
         graph, divisor = _load_graph_divisor(args)
         data = load_json_file(args.target)
-        target_f = function_from_json(data).normalized()
+        target_f = function_from_json(data, graph).normalized()
         try:
             degree = int_from_json(data["degree"])
         except (KeyError, TypeError) as exc:

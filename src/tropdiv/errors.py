@@ -37,10 +37,6 @@ class DegenerateCone(TropdivError):
     """The graded cone is degenerate (only reachable with a disconnected model)."""
 
 
-class NonIntegralRefinement(InputError):
-    """Some edge length times the subdivision parameter is not an integer."""
-
-
 class InvalidPL(InputError):
     """Breakpoint data violates continuity or the integer-slope requirement."""
 

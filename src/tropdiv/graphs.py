@@ -18,6 +18,22 @@ from .errors import (CertificateError, Disconnected, IndexOutOfRange,
 from .intlinalg import SmithSolver
 
 
+def _is_connected(vertex_count, edges):
+    """Whether the edges join all vertex_count vertices (search from 0)."""
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == vertex_count
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """Connected multigraph; loops and parallel edges allowed."""
@@ -39,17 +55,7 @@ class FiniteGraph:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.vertex_count:
                 raise InputError("label count must match vertex count")
-        self._check_connected()
-
-    def _check_connected(self):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for y in self.neighbors[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != self.vertex_count:
+        if not _is_connected(self.vertex_count, self.edges):
             raise Disconnected("edge list does not connect all vertices")
 
     @property
@@ -94,24 +100,9 @@ class FiniteGraph:
     @cached_property
     def bridges(self):
         """Set of edge indices whose removal disconnects the graph."""
-        out = set()
-        for i in range(len(self.edges)):
-            rest = [e for j, e in enumerate(self.edges) if j != i]
-            adj = [[] for _ in range(self.vertex_count)]
-            for u, v in rest:
-                adj[u].append(v)
-                adj[v].append(u)
-            seen = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != self.vertex_count:
-                out.add(i)
-        return frozenset(out)
+        return frozenset(
+            i for i in range(len(self.edges))
+            if not _is_connected(self.vertex_count, self.edges[:i] + self.edges[i + 1:]))
 
     def label_of(self, x):
         if self.labels is not None:

@@ -9,6 +9,7 @@ and the rational rank, kernel and solves of the frac_* helpers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 
@@ -30,7 +31,12 @@ def smith_normal_form(A):
     its row touches only the rows of S and V that are non-zero in its column.
     Graph Laplacians have almost only unit invariant factors, so most pivots
     cost the entries they change rather than a scan of the block.
+
+    Entries must be int: with Fraction entries the remainders need not reach
+    zero, so the loop need not end; anything else raises TypeError.
     """
+    if not set(map(type, chain.from_iterable(A))) <= {int}:
+        raise TypeError("smith_normal_form takes int entries only")
     m = len(A)
     n = len(A[0]) if m else 0
     S = [list(row) for row in A]
@@ -137,8 +143,8 @@ def _integer_rows(rows):
     """Each row times the lcm of its denominators.
 
     Scaling rows keeps the rank and the kernel, and keeps the solutions when
-    the right-hand side rides along as a column.  smith_normal_form needs
-    integers: with Fraction entries its remainders need not reach zero.
+    the right-hand side rides along as a column.  smith_normal_form takes
+    int entries only.
     """
     dens = (lcm(*(x.denominator for x in row)) for row in rows)
     return [[int(x * d) for x in row] for row, d in zip(rows, dens)]

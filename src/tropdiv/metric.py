@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate
 from fractions import Fraction
 from math import lcm
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, EmptySubgraph, InputError, InvalidPL,
-                     NonIntegralRefinement, NotMember, SizeMismatch)
-from .graphs import Divisor, FiniteGraph, RationalFunction, build_graph
+                     NotMember, SizeMismatch)
+from .graphs import Divisor, FiniteGraph, build_graph
 from .graphs import linear_equiv as graph_linear_equiv
 from .linear_systems import firing_subsets
 
@@ -423,113 +422,51 @@ def _cut_model(graph, cuts):
 
 
 class Refinement:
-    """Subdivision of every edge into segments of length 1/q.
+    """Subdivision of every edge into segments of length 1/q, where q is the
+    lcm of the edge-length denominators and the support-offset denominators
+    of the given divisors, so the 1/q grid holds every support point.
 
-    Grid points (offsets with denominator dividing q) correspond to vertices
-    of the refined model; divisors supported on the grid and PL functions
-    with grid-only breakpoints transport back and forth exactly.  A vertex
-    label g(x) on the refined model corresponds to the PL value g(x)/q, so
-    slopes become plain value differences and div is preserved verbatim.
+    Grid points are the vertices of the refined model: the model vertices,
+    then each edge's grid points in increasing offset.  A vertex label g(x)
+    on the refined model is the PL value g(x)/q, so slopes become plain value
+    differences and div is preserved verbatim.
     """
 
-    def __init__(self, base, q):
-        q = int(q)
-        if q < 1:
-            raise NonIntegralRefinement("subdivision parameter must be >= 1")
-        for e, length in enumerate(base.lengths):
-            if (q * length).denominator != 1:
-                raise NonIntegralRefinement(
-                    f"edge {e}: q*length = {q * length} is not an integer")
-        self.base = base
-        self.q = q
-        steps = [int(q * length) for length in base.lengths]
-        self._points, self._segments = _cut_model(
-            base, {e: [Fraction(j, q) for j in range(1, k)] for e, k in enumerate(steps)})
-        # edge e's pieces start at _first[e]; its j-th grid point opens piece j
-        self._first = list(accumulate(steps, initial=0))
-        labels = list(base.model.labels) if base.model.labels else [
-            f"v{i}" for i in range(base.model.vertex_count)]
-        labels += [f"e{e}+{j}" for e, k in enumerate(steps) for j in range(1, k)]
-        self.graph = build_graph(len(self._points),
-                                 [(i, j) for _, _, _, i, j in self._segments],
-                                 labels=labels)
-
-    def vertex_of_point(self, p):
-        if p.is_vertex:
-            return p.index
-        j = p.offset * self.q
-        if j.denominator != 1:
-            raise NonIntegralRefinement(f"point {p} is off the 1/{self.q} grid")
-        first, end = self._first[p.index], self._first[p.index + 1]
-        if not 0 < j < end - first:
-            raise InputError(f"point {p} is not inside edge {p.index}")
-        return self._segments[first + int(j)][3]
-
-    def point_of_vertex(self, i):
-        return self._points[i]
-
-    def divisor_to_graph(self, d):
-        out = [0] * self.graph.vertex_count
-        for p, c in d.items:
-            out[self.vertex_of_point(p)] += c
-        return Divisor(tuple(out))
-
-    def divisor_from_graph(self, d):
-        entries = {}
-        for i, c in enumerate(d.coeffs):
-            if c:
-                entries[self.point_of_vertex(i)] = c
-        return MetricDivisor.of(self.base, entries)
-
-    def function_from_graph(self, g):
-        """Vertex labels g on the refined model -> PL function with values g/q."""
-        values = g.values if isinstance(g, RationalFunction) else g
-        segs = [[(Fraction(0), Fraction(values[u], self.q))] for u, _ in self.base.model.edges]
-        for e, _, b, _, j in self._segments:
-            segs[e].append((b, Fraction(values[j], self.q)))
-        return PLFunction(self.base, segs)
-
-    def function_to_graph(self, f):
-        """Inverse transport; requires grid-only breakpoints and values in Z/q."""
-        for e, bps in enumerate(f.segs):
-            for o, _ in bps[1:-1]:
-                if (o * self.q).denominator != 1:
-                    raise NonIntegralRefinement(
-                        f"breakpoint at {o} on edge {e} is off the grid")
-        values = [None] * self.graph.vertex_count
-        for e, a, b, i, j in self._segments:
-            for o, x in ((a, i), (b, j)):
-                val = f._eval_edge(e, o) * self.q
-                if val.denominator != 1:
-                    raise NonIntegralRefinement("values are not multiples of 1/q")
-                values[x] = int(val)
-        return RationalFunction(tuple(values))
+    def __init__(self, graph, divisors):
+        self.base = graph
+        self.q = lcm(*(x.denominator for x in graph.lengths),
+                     *(p.offset.denominator for d in divisors for p, _ in d.items))
+        points, self._segments = _cut_model(graph, {
+            e: [Fraction(j, self.q) for j in range(1, int(self.q * length))]
+            for e, length in enumerate(graph.lengths)})
+        self._index = {p: i for i, p in enumerate(points)}
+        self.graph = build_graph(len(points),
+                                 [(i, j) for _, _, _, i, j in self._segments])
 
     def linear_equiv(self, d1, d2):
         """Witness f with div(f) = D1 - D2 for divisors on the grid, or None;
         all queries share the one Smith form of the refined Laplacian."""
         if d1.graph != self.base or d2.graph != self.base:
             raise SizeMismatch("divisors on a different metric graph")
-        g = graph_linear_equiv(self.graph, self.divisor_to_graph(d1),
-                               self.divisor_to_graph(d2))
+        divisors = []
+        for d in (d1, d2):
+            coeffs = [0] * self.graph.vertex_count
+            for p, c in d.items:
+                if p not in self._index:
+                    raise InputError(f"point {p.describe()} is off the 1/{self.q} grid")
+                coeffs[self._index[p]] += c
+            divisors.append(Divisor(tuple(coeffs)))
+        g = graph_linear_equiv(self.graph, *divisors)
         if g is None:
             return None
-        f = self.function_from_graph(g).normalized()
+        values = [Fraction(v, self.q) for v in g.values]
+        segs = [[(Fraction(0), values[u])] for u, _ in self.base.model.edges]
+        for e, _, b, _, j in self._segments:
+            segs[e].append((b, values[j]))
+        f = PLFunction(self.base, segs).normalized()
         if f.div() != d1 - d2:
             raise CertificateError("refined witness does not replay D1 - D2")
         return f
-
-
-def refine(graph, q):
-    return Refinement(graph, q)
-
-
-def grid_refinement(graph, divisors):
-    """Refinement whose 1/q grid holds the vertices and every support point
-    (q: lcm of the edge-length and support-offset denominators)."""
-    return Refinement(graph, lcm(*(x.denominator for x in graph.lengths),
-                                 *(p.offset.denominator
-                                   for d in divisors for p, _ in d.items)))
 
 
 def linear_equiv_metric(graph, d1, d2):
@@ -545,7 +482,7 @@ def linear_equiv_metric(graph, d1, d2):
         raise SizeMismatch("divisors on a different metric graph")
     if d1.degree() != d2.degree():
         return None
-    return grid_refinement(graph, [d1, d2]).linear_equiv(d1, d2)
+    return Refinement(graph, [d1, d2]).linear_equiv(d1, d2)
 
 
 # -- metric subgraphs and chip firing ------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, SizeMismatch
 from .graphs import Divisor, RationalFunction, build_graph
 from .metric import MetricDivisor, MetricGraph
 
@@ -64,24 +64,30 @@ def graph_from_json(data):
     try:
         n = int_from_json(data["vertices"])
         edges = [(int_from_json(u), int_from_json(v)) for u, v in data["edges"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from exc
-    return build_graph(n, edges, data.get("labels"))
+    labels = data.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise InputError("graph 'labels' must be an array of strings")
+    return build_graph(n, edges, labels)
 
 
 def divisor_from_json(data, graph):
     try:
         entries = {int(k): int_from_json(v) for k, v in data["coeffs"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad divisor JSON: {exc}") from exc
     return Divisor.of(graph.vertex_count, entries)
 
 
-def function_from_json(data):
+def function_from_json(data, graph):
     try:
         values = tuple(int_from_json(v) for v in data["values"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad function JSON: {exc}") from exc
+    if len(values) != graph.vertex_count:
+        raise SizeMismatch(f"{len(values)} function values for {graph.vertex_count} vertices")
     return RationalFunction(values)
 
 
@@ -108,7 +114,10 @@ def metric_graph_from_json(data):
                    for e in range(model.edge_count)]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad metric graph JSON: {exc}") from exc
-    return MetricGraph(model, tuple(lengths), bool(data.get("is_refinement", False)))
+    is_refinement = data.get("is_refinement", False)
+    if not isinstance(is_refinement, bool):
+        raise InputError("'is_refinement' must be true or false")
+    return MetricGraph(model, tuple(lengths), is_refinement)
 
 
 def point_to_json(p):
@@ -158,5 +167,5 @@ def load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc

@@ -25,7 +25,7 @@ from .budget import DEFAULT_BUDGET
 from .errors import CertificateError, HypothesisFailure, InputError
 from .graphs import build_graph
 from .metric import (MetricDivisor, MetricGraph, PLFunction, Point,
-                     canonical_divisor_metric, grid_refinement,
+                     Refinement, canonical_divisor_metric,
                      is_extremal_metric, linear_equiv_metric)
 
 
@@ -183,7 +183,7 @@ def indecomposability_check(inst, s):
     """
     _, _, denom, r, degree = _geometry(inst, s)
     point_r = MetricDivisor.of(inst.graph, {r: 1})
-    refinement = grid_refinement(inst.graph, [inst.divisor, point_r])
+    refinement = Refinement(inst.graph, [inst.divisor, point_r])
     rows = {}
     for k in list(range(1, degree)) + [denom]:
         w = refinement.linear_equiv(k * inst.divisor, (k * inst.d) * point_r)

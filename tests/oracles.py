@@ -202,22 +202,19 @@ def degree_exact_products(degrees, total):
 def grid_model(base, q):
     """The 1/q grid subdivision of a metric graph, numbered vertex by vertex:
     the model vertices, then each edge's grid points j/q (0 < j < q*length)
-    in edge order.  Returns (vertex count, edge list, labels, points)."""
+    in edge order.  Returns (vertex count, edge list, points)."""
     from fractions import Fraction
     from tropdiv.metric import Point
-    n = base.model.vertex_count
-    labels = list(base.model.labels or [f"v{i}" for i in range(n)])
-    points = [Point.vertex(i) for i in range(n)]
+    points = [Point.vertex(i) for i in range(base.model.vertex_count)]
     edges = []
     for e, (u, v) in enumerate(base.model.edges):
         prev = u
         for j in range(1, int(q * base.lengths[e])):
-            labels.append(f"e{e}+{j}")
             points.append(Point.interior(e, Fraction(j, q)))
             edges.append((prev, len(points) - 1))
             prev = len(points) - 1
         edges.append((prev, v))
-    return len(points), edges, labels, points
+    return len(points), edges, points
 
 
 def components_of_complement(graph, points):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -162,6 +163,29 @@ def test_trop_equiv_command(tmp_path):
     assert data["equivalent"] is False
 
 
+@pytest.mark.parametrize("d1, code, digest", [
+    ({"edge": 1, "offset": "1"}, 0,
+     "f426d7c2fecd74ab66d01077e424846371456eeb260eab6f95159ca13dd6a799"),
+    ({"edge": 0, "offset": "1/4"}, 1,
+     "a04e2252418e0bbbf08ffde1ead65e8abcd4c6976c7c9500945f6802ad585847"),
+])
+def test_trop_equiv_on_non_integer_lengths(tmp_path, capsys, d1, code, digest):
+    # theta with lengths 1/2, 3/2, 1: 3[e1@1] ~ [v0]+2[v1], while 3[e0@1/4] is not
+    paths = {}
+    for name, data in (
+            ("curve", {"model": {"vertices": 2, "edges": [[0, 1]] * 3},
+                       "lengths": {"0": "1/2", "1": "3/2", "2": "1"}}),
+            ("d1", {"points": [{"point": d1, "coeff": 3}]}),
+            ("d2", {"points": [{"point": {"vertex": 0}, "coeff": 1},
+                               {"point": {"vertex": 1}, "coeff": 2}]})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps(data))
+    assert main(["trop", "equiv", "--curve", str(paths["curve"]),
+                 "--d1", str(paths["d1"]), "--d2", str(paths["d2"])]) == code
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_trop_witness_command(tmp_path, instance_file):
     data = json.loads(run_cli(tmp_path, ["trop", "witness", "--instance",
                                          instance_file, "--s", "1"]))
@@ -279,6 +303,37 @@ def test_non_numeric_json_integers_are_input_errors(tmp_path, theta_file, capsys
                  ["trop", "witness", "--instance", str(instance), "--s", "1"]):
         assert main(argv + ["--output", str(tmp_path / "out.json")]) == 2, argv
         assert "expected an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+MALFORMED = {
+    "coeffs-not-an-object": ("divisor", {"coeffs": [1, 1]}),
+    "three-ended-edge": ("graph", {**THETA, "edges": [[0, 1, 2]]}),
+    "labels-not-an-array": ("graph", {**THETA, "labels": 5}),
+    "not-utf-8": ("graph", b'{"vertices": 2, "labels": ["\xff"]}'),
+    "target-sized-to-another-graph": ("target", {"degree": 3, "values": [0]}),
+    "is-refinement-not-a-boolean": (
+        "instance", {**THETA_INSTANCE,
+                     "curve": {**THETA_CURVE, "is_refinement": "no"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_an_input_error(tmp_path, theta_file, capsys, case):
+    # exits 0 and 1 are verdicts, so a malformed file must exit 2 before any
+    slot, content = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(dumps(content))
+    argv = {"divisor": ["rgd", "--graph", theta_file, "--divisor", str(bad)],
+            "graph": ["rgd", "--graph", str(bad), "--divisor", "K"],
+            "target": ["check-generated", "--graph", theta_file, "--divisor", "K",
+                       "--target", str(bad)],
+            "instance": ["trop", "witness", "--instance", str(bad), "--s", "1"]}[slot]
+    assert main(argv + ["--output", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.json").exists()
 
 

@@ -3,9 +3,11 @@ import signal
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from tropdiv.intlinalg import (SmithSolver, frac_nullspace, frac_rank, frac_solve,
                                mat_vec, smith_normal_form)
-from tropdiv.metric import Refinement
+from tropdiv.metric import MetricDivisor, Refinement
 from tropdiv.witness import complete_graph_instance
 
 from oracles import det, rank_by_minors
@@ -100,7 +102,9 @@ def test_smith_normal_form_without_unit_entries(rng):
 
 def test_smith_normal_form_of_refined_laplacian():
     # the K_4 s=2 obstruction rows live on the 1/15 grid: 4 + 6*14 vertices
-    A = Refinement(complete_graph_instance(4).graph, 15).graph.laplacian
+    graph = complete_graph_instance(4).graph
+    r = MetricDivisor.of(graph, {graph.point(0, Fraction(8, 15)): 1})
+    A = Refinement(graph, [r]).graph.laplacian
     assert len(A) == 88
     _, _, diag = checked_smith_form(A)
     assert [d for d in diag if d != 1] == [15, 60, 60, 0]
@@ -154,11 +158,11 @@ def test_frac_nullspace_vectors_are_primitive_integer_vectors(rng):
 
 
 def test_frac_elimination_returns_on_a_rational_5x5(rng):
-    # smith_normal_form need not return on Fraction entries, so the frac_*
-    # helpers must scale rows to integers first; the alarm turns a hang into
-    # a failure
+    # smith_normal_form need not return on Fraction entries, so it refuses
+    # them and the frac_* helpers must scale rows to integers first; the
+    # alarm turns a hang into a failure
     def timeout(signum, frame):
-        raise TimeoutError("frac_* elimination did not return on a rational 5 x 5")
+        raise TimeoutError("elimination did not return on a rational 5 x 5")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(20)
@@ -169,6 +173,8 @@ def test_frac_elimination_returns_on_a_rational_5x5(rng):
             if i % 2:
                 A[4] = [a - Fraction(2, 3) * c for a, c in zip(A[0], A[1])]
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)]
+            with pytest.raises(TypeError, match="int entries"):
+                smith_normal_form(A)
             r = frac_rank(A)
             null = frac_nullspace(A, 5)
             x = frac_solve(A, b)

@@ -6,13 +6,13 @@ import pytest
 
 from tropdiv.budget import Budget
 from tropdiv.errors import (BudgetExceeded, CertificateError, EmptySubgraph,
-                            InputError, InvalidPL, NonIntegralRefinement,
-                            NotMember, SizeMismatch)
+                            InputError, InvalidPL, NotMember, SizeMismatch)
 from tropdiv.graphs import RationalFunction
 from tropdiv.metric import (
-    MetricDivisor, MetricSubgraph, PLFunction, Point, build_metric_graph,
-    can_fire_metric, canonical_divisor_metric, cf_move, is_extremal_metric,
-    linear_equiv_metric, metric_firing_subgraphs, refine, rgd_member_metric)
+    MetricDivisor, MetricSubgraph, PLFunction, Point, Refinement,
+    build_metric_graph, can_fire_metric, canonical_divisor_metric, cf_move,
+    is_extremal_metric, linear_equiv_metric, metric_firing_subgraphs,
+    rgd_member_metric)
 from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
 
 from conftest import run_optimized
@@ -29,6 +29,21 @@ def mtheta():
 def mk4():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     return build_metric_graph(4, edges, [1] * 6)
+
+
+def grid_function(rng, graph, q, spread):
+    """Random PL function with breakpoints on the 1/q grid and values in
+    Z/q, so every slope is an integer."""
+    def value():
+        return F(rng.randint(-spread, spread), q)
+    return PLFunction.from_vertex_values(
+        graph, [value() for _ in range(graph.model.vertex_count)],
+        interior={e: [(F(j, q), value()) for j in range(1, int(q * length))]
+                  for e, length in enumerate(graph.lengths)})
+
+
+def point_divisor(graph, edge, offset):
+    return MetricDivisor.of(graph, {graph.point(edge, offset): 1})
 
 
 def tent(mtheta):
@@ -85,10 +100,8 @@ def test_canonical_divisor_k4(mk4):
 
 
 def test_canonical_divisor_ignores_two_valent_refinement_vertices(mtheta):
-    ref = refine(mtheta, 3)
-    refined = build_metric_graph(
-        ref.graph.vertex_count, ref.graph.edges, [F(1, 3)] * 9,
-        is_refinement=True)
+    count, edges, _ = grid_model(mtheta, 3)
+    refined = build_metric_graph(count, edges, [F(1, 3)] * 9, is_refinement=True)
     k = canonical_divisor_metric(refined)
     assert k == MetricDivisor.of(refined, {Point.vertex(0): 1, Point.vertex(1): 1})
 
@@ -147,10 +160,8 @@ def test_invalid_pl_rejected(mtheta):
 
 def test_telescoping_identity(mtheta):
     rng = random.Random(7)
-    ref = refine(mtheta, 3)
     for _ in range(50):
-        f = ref.function_from_graph(
-            [rng.randint(-5, 5) for _ in range(ref.graph.vertex_count)])
+        f = grid_function(rng, mtheta, 3, 5)
         for e, bps in enumerate(f.segs):
             total = sum(f._slopes[e][i] * (bps[i + 1][0] - bps[i][0])
                         for i in range(len(bps) - 1))
@@ -170,23 +181,26 @@ def test_oplus_odot_algebra(mtheta):
 
 def test_product_divisor_rule(mtheta):
     rng = random.Random(11)
-    ref = refine(mtheta, 2)
     for _ in range(50):
-        g1 = ref.function_from_graph([rng.randint(-3, 3) for _ in range(ref.graph.vertex_count)])
-        g2 = ref.function_from_graph([rng.randint(-3, 3) for _ in range(ref.graph.vertex_count)])
+        g1 = grid_function(rng, mtheta, 2, 3)
+        g2 = grid_function(rng, mtheta, 2, 3)
         assert g1.odot(g2).div() == g1.div() + g2.div()
         assert g1.oplus(g2).div().degree() == 0
 
 
 def test_refine_theta_three(mtheta):
-    ref = refine(mtheta, 3)
+    # a support point at offset 2/3 puts the grid at 1/3
+    ref = Refinement(mtheta, [point_divisor(mtheta, 0, F(2, 3))])
     assert ref.graph.vertex_count == 8
     assert ref.graph.edge_count == 9
-    r = mtheta.point(0, F(2, 3))
-    assert ref.point_of_vertex(ref.vertex_of_point(r)) == r
-    # an offset past the edge must not run on into the next edge's grid
-    with pytest.raises(InputError):
-        ref.vertex_of_point(Point.interior(0, F(4, 3)))
+
+
+def test_refinement_rejects_points_off_its_grid(mtheta):
+    ref = Refinement(mtheta, [point_divisor(mtheta, 0, F(2, 3))])
+    on_grid = point_divisor(mtheta, 1, F(1, 3))
+    assert ref.linear_equiv(on_grid, on_grid) == PLFunction.constant(mtheta, 0)
+    with pytest.raises(InputError, match="off the 1/3 grid"):
+        ref.linear_equiv(point_divisor(mtheta, 0, F(1, 2)), on_grid)
 
 
 @pytest.mark.parametrize("vertices, edges, lengths, q", [
@@ -198,36 +212,19 @@ def test_refinement_numbers_the_grid(vertices, edges, lengths, q):
     # the vertex order and edge list fix the Smith form's pivot order, so
     # they must match the plain grid numbering exactly
     base = build_metric_graph(vertices, edges, lengths)
-    ref = refine(base, q)
-    count, grid_edges, labels, points = grid_model(base, q)
+    ref = Refinement(base, [point_divisor(base, 0, F(1, q))])
+    count, grid_edges, points = grid_model(base, q)
     assert ref.graph.vertex_count == count
     assert ref.graph.edges == tuple((min(e), max(e)) for e in grid_edges)
-    assert ref.graph.labels == tuple(labels)
-    for i, p in enumerate(points):
-        assert ref.point_of_vertex(i) == p
-        assert ref.vertex_of_point(p) == i
+    assert ref._index == {p: i for i, p in enumerate(points)}
 
 
 def test_refine_non_integral(mtheta):
     g = build_metric_graph(2, [(0, 1)] * 3, [F(3, 2), 1, 1])
-    with pytest.raises(NonIntegralRefinement):
-        refine(g, 3)
-    ref = refine(g, 2)
-    # edge of length 3/2 splits into 3 segments
+    ref = Refinement(g, [])
+    # the length 3/2 alone puts the grid at 1/2: that edge splits into 3 segments
     assert ref.graph.vertex_count == 2 + 2 + 1 + 1
     assert ref.graph.edge_count == 3 + 2 + 2
-
-
-def test_transport_roundtrip(mtheta):
-    ref = refine(mtheta, 3)
-    rng = random.Random(3)
-    for _ in range(20):
-        values = [rng.randint(-5, 5) for _ in range(ref.graph.vertex_count)]
-        f = ref.function_from_graph(values)
-        back = ref.function_to_graph(f)
-        assert ref.function_from_graph(back) == f
-    d = MetricDivisor.of(mtheta, {mtheta.point(0, F(1, 3)): 2, Point.vertex(1): -2})
-    assert ref.divisor_from_graph(ref.divisor_to_graph(d)) == d
 
 
 def test_linear_equiv_metric_theta(mtheta):
@@ -248,7 +245,7 @@ def test_refinement_decides_every_grid_query(mtheta):
     # one refinement on the 1/3 grid answers what linear_equiv_metric answers
     k = canonical_divisor_metric(mtheta)
     r = mtheta.point(0, F(2, 3))
-    ref = refine(mtheta, 3)
+    ref = Refinement(mtheta, [point_divisor(mtheta, 0, r.offset)])
     for d1, d2 in ((MetricDivisor.of(mtheta, {Point.vertex(0): 1, r: 3}), 2 * k),
                    (k, MetricDivisor.of(mtheta, {r: 2})), (k, k)):
         assert ref.linear_equiv(d1, d2) == linear_equiv_metric(mtheta, d1, d2)
