@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .errors import (BudgetExceeded, CertificateError, HypothesisFailure,
-                     InputError, TropdivError)
+                     InputError, NotMember, TropdivError)
 from .generators import decompose, graded_cone, hilbert_basis, certify_basis, verify_gn
 from .graphs import canonical_divisor
-from .linear_systems import RgdElement, extremals, rgd_enumerate
+from .linear_systems import RgdElement, extremals, rgd_enumerate, rgd_member
 from .metric import canonical_divisor_metric, linear_equiv_metric
 from .serialize import (divisor_from_json, dumps, element_to_json,
                         frac_to_json, function_from_json, graph_from_json,
@@ -231,6 +231,8 @@ def dispatch(args, config):
             degree = int_from_json(data["degree"])
         except (KeyError, TypeError) as exc:
             raise InputError("target JSON needs a 'degree'") from exc
+        if not rgd_member(graph, degree * divisor, target_f):
+            raise NotMember(f"target is not in R(G, {degree}D)")
         below = args.below_degree if args.below_degree is not None else degree - 1
         gens = []
         for m in range(1, below + 1):

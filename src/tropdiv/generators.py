@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, prod
-from operator import add
+from operator import add, ge, mul, sub
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, DegenerateCone, InputError,
@@ -44,8 +43,12 @@ class MonoidCone:
     rows: tuple[tuple[int, ...], ...]
     dim: int
 
+    def slack(self, y):
+        """The row values of y; y lies in the cone iff none is negative."""
+        return tuple(sum(map(mul, row, y)) for row in self.rows)
+
     def contains(self, y):
-        return all(sum(a * b for a, b in zip(row, y)) >= 0 for row in self.rows)
+        return all(s >= 0 for s in self.slack(y))
 
     def element_to_slice(self, el):
         v = el.slice_values
@@ -83,9 +86,9 @@ def extreme_rays(cone):
         # the chosen rows have rank d - 1 and vanish on the primitive kernel
         # vector v, so a feasible one of +-v spans an extreme ray
         v = null[0]
-        for cand in (v, [-a for a in v]):
-            if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in cone.rows):
-                rays.add(tuple(cand))
+        for cand in (tuple(v), tuple(-a for a in v)):
+            if cone.contains(cand):
+                rays.add(cand)
                 break
     return sorted(rays)
 
@@ -175,6 +178,9 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     by a cone point: in a pointed cone a reducible candidate is a
     lower-height irreducible plus a cone point, and two points of equal
     height differ by a non-zero height-0 vector, which the cone lacks.
+    Since the rows are linear, c - a lies in the cone exactly when the
+    slack of c is at least that of a in every row, so each candidate's
+    slack is computed once and compared componentwise.
     A cone that is just the height axis has only constant sections at every
     degree and returns an empty generator list.
     """
@@ -192,9 +198,12 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
 
     # exact for a pointed cone (graded_cone's corank-1 check): no height-0 point
     basis = []
+    kept_slacks = []
     for c in sorted(candidates, key=lambda y: (y[-1], y)):
-        if not any(cone.contains(tuple(u - v for u, v in zip(c, a))) for a in basis):
+        sc = cone.slack(c)
+        if not any(all(map(ge, sc, sa)) for sa in kept_slacks):
             basis.append(c)
+            kept_slacks.append(sc)
 
     elements = []
     for y in basis:
@@ -205,53 +214,50 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     return GeneratorSet(cone.graph, cone.divisor, tuple(sorted(elements)))
 
 
-def monoid_certificate(cone, target_slice, basis_slices):
+def monoid_certificate(target_slice, basis_slices, certified):
     """Nonnegative-integer combination of basis vectors equal to the target.
 
-    Pure tropical-product certificate (no tropical sums).  Returns the list
-    of basis indices with multiplicity, or None.
+    Pure tropical-product certificate (no tropical sums): the target is b_i
+    itself, or b_i plus a point of the table certified, which maps
+    lower-height cone points to their certificates.  Returns the tuple of
+    basis indices with multiplicity, or None.  Exact when the table holds
+    every certifiable cone point below the target's height, since a product
+    minus any of its factors is a smaller product.
     """
-
-    basis = sorted(range(len(basis_slices)),
-                   key=lambda i: -basis_slices[i][-1])
-
-    @lru_cache(maxsize=None)
-    def search(vec):
-        if not any(vec):
-            return ()
-        for i in basis:
-            b = basis_slices[i]
-            if b[-1] > vec[-1]:
-                continue
-            rest = tuple(x - y for x, y in zip(vec, b))
-            if not cone.contains(rest):
-                continue
-            sub = search(rest)
-            if sub is not None:
-                return (i,) + sub
-        return None
-
-    return search(tuple(target_slice))
+    for i, b in enumerate(basis_slices):
+        rest = tuple(map(sub, target_slice, b))
+        if not any(rest):
+            return (i,)
+        cert = certified.get(rest)
+        if cert is not None:
+            return (i,) + cert
+    return None
 
 
 def certify_basis(basis, m_max, budget=DEFAULT_BUDGET):
     """Check every element of R(G, mD) for m <= m_max against the basis.
 
+    Degrees are certified in increasing order into the one table that
+    monoid_certificate reads.  The table is complete below each target:
+    rgd_enumerate lists every cone point of each height, and basis elements
+    have degree at least 1.  Every certificate is replayed.
     Returns {m: number of elements certified}; raises CertificateError if
     any element fails, since that would disprove completeness of the basis.
     """
     cone = graded_cone(basis.graph, basis.divisor)
     slices = [cone.element_to_slice(el) for el in basis.elements]
+    certified = {}
     report = {}
     for m in range(1, m_max + 1):
         elements = rgd_enumerate(basis.graph, m * basis.divisor, degree=m, budget=budget)
         for el in elements:
             y = cone.element_to_slice(el)
-            cert = monoid_certificate(cone, y, slices)
+            cert = monoid_certificate(y, slices, certified)
             replay = cert and tuple(map(sum, zip(*(slices[i] for i in cert))))
             if replay != y:
                 raise CertificateError(
                     f"element {el} of degree {m} has no product certificate")
+            certified[y] = cert
         report[m] = len(elements)
     return report
 

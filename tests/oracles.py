@@ -8,6 +8,7 @@ so agreement with the fast paths is meaningful.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,6 +143,32 @@ def brute_force_hilbert_basis(cone, max_height, box):
             if not any(a[-1] < c[-1]
                        and cone.contains(tuple(u - v for u, v in zip(c, a)))
                        for a in points)}
+
+
+def monoid_certificate_by_search(cone, target, basis_slices):
+    """Nonnegative-integer combination of basis slices equal to the target, as
+    a tuple of basis indices with multiplicity, or None: a depth-first search
+    that subtracts each basis slice of no greater height whose remainder stays
+    in the cone, memoised on the remainder."""
+    order = sorted(range(len(basis_slices)), key=lambda i: -basis_slices[i][-1])
+
+    @lru_cache(maxsize=None)
+    def search(vec):
+        if not any(vec):
+            return ()
+        for i in order:
+            b = basis_slices[i]
+            if b[-1] > vec[-1]:
+                continue
+            rest = tuple(x - y for x, y in zip(vec, b))
+            if not cone.contains(rest):
+                continue
+            sub = search(rest)
+            if sub is not None:
+                return (i,) + sub
+        return None
+
+    return search(tuple(target))
 
 
 def parallelepiped_points(rays):

@@ -108,6 +108,18 @@ def test_check_generated_absent(tmp_path, theta_file):
     assert data["generated_below"] is False
 
 
+def test_check_generated_rejects_a_target_outside_the_linear_system(tmp_path, theta_file,
+                                                                   capsys):
+    # 3K + div f = (24, -18) is not effective, so there is no verdict to give
+    target = tmp_path / "target.json"
+    target.write_text(dumps({"degree": 3, "values": [0, 7]}))
+    code = main(["check-generated", "--graph", theta_file, "--divisor", "K",
+                 "--target", str(target), "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: target is not in R(G, 3D)\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_check_generated_present(tmp_path, theta_file):
     target = tmp_path / "target.json"
     target.write_text(dumps({"degree": 4, "values": [0, 1]}))

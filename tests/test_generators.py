@@ -4,24 +4,39 @@ from math import prod
 import pytest
 
 from tropdiv.budget import Budget
-from tropdiv.errors import BudgetExceeded, DegreeOverflow
+from tropdiv.errors import BudgetExceeded, CertificateError, DegreeOverflow
 from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
                             linear_equiv)
 from tropdiv.intlinalg import smith_normal_form
 from tropdiv.linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
 from tropdiv.generators import (
-    MonoidCone, _count_products, _degree_exact_products, _parallelepiped_points, build_gn, certify_basis, decompose,
-    extreme_rays, graded_cone, hilbert_basis, min_generator_degrees,
-    monoid_certificate, verify_gn)
+    GeneratorSet, MonoidCone, _count_products, _degree_exact_products, _parallelepiped_points,
+    build_gn, certify_basis, decompose, extreme_rays, graded_cone, hilbert_basis,
+    min_generator_degrees, monoid_certificate, verify_gn)
 
 from conftest import run_optimized
-from oracles import (brute_force_hilbert_basis, degree_exact_products, parallelepiped_points,
-                     rank_by_minors, sufficient_box)
+from oracles import (brute_force_hilbert_basis, degree_exact_products,
+                     monoid_certificate_by_search, parallelepiped_points, rank_by_minors,
+                     sufficient_box)
 
 
 def basis_slices(gs):
     cone = graded_cone(gs.graph, gs.divisor)
     return {cone.element_to_slice(el) for el in gs.elements}
+
+
+def certificate_table(cone, slices, m_max):
+    """Every cone point up to height m_max, degree by degree, with its
+    monoid_certificate read off the certified lower heights (None if none)."""
+    certified = {}
+    found = {}
+    for m in range(1, m_max + 1):
+        for el in rgd_enumerate(cone.graph, m * cone.divisor, degree=m):
+            y = cone.element_to_slice(el)
+            found[y] = monoid_certificate(y, slices, certified)
+            if found[y] is not None:
+                certified[y] = found[y]
+    return found
 
 
 def test_graded_cone_theta(theta):
@@ -142,7 +157,7 @@ def test_hilbert_basis_k33_frontier():
     gs = hilbert_basis(graded_cone(graph, canonical_divisor(graph)))
     assert len(gs.elements) == 106
     assert gs.degrees() == [1, 3]
-    assert certify_basis(gs, 3) == {1: 16, 2: 100, 3: 489}
+    assert certify_basis(gs, 6) == {1: 16, 2: 100, 3: 489, 4: 1641, 5: 4296, 6: 9734}
 
 
 def test_certify_basis_theta(theta):
@@ -157,7 +172,40 @@ def test_monoid_certificate_absent(theta):
     cone = graded_cone(theta, d)
     gs = hilbert_basis(cone)
     slices = [cone.element_to_slice(el) for el in gs.elements]
-    assert monoid_certificate(cone, (1, 2), slices) is None
+    certified = {y: c for y, c in certificate_table(cone, slices, 1).items() if c}
+    # (1, 2) is not a cone point: 2 - 3 < 0
+    assert monoid_certificate((1, 2), slices, certified) is None
+    assert monoid_certificate_by_search(cone, (1, 2), slices) is None
+
+
+@pytest.mark.parametrize("name", ["theta", "k4", "h"])
+@pytest.mark.parametrize("drop_top", [False, True], ids=["full", "minus-top"])
+def test_certificate_table_matches_the_search(theta, k4, name, drop_top):
+    # the table certifies exactly the cone points the recursive search does,
+    # with the full basis and with its highest-degree element left out
+    graph = {"theta": theta, "k4": k4,
+             "h": build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])}[name]
+    cone = graded_cone(graph, canonical_divisor(graph))
+    slices = [cone.element_to_slice(el) for el in hilbert_basis(cone).elements]
+    if drop_top:
+        slices.remove(max(slices, key=lambda y: (y[-1], y)))
+    table = certificate_table(cone, slices, 6)
+    for y, cert in table.items():
+        assert (cert is None) == (monoid_certificate_by_search(cone, y, slices) is None), y
+        if cert is not None:
+            assert tuple(map(sum, zip(*(slices[i] for i in cert)))) == y
+    # H's highest degree is 13, so only theta and K_4 lose points below 7
+    assert (None in table.values()) == (drop_top and name != "h")
+
+
+def test_certify_basis_rejects_a_basis_missing_a_generator(theta):
+    gs = hilbert_basis(graded_cone(theta, canonical_divisor(theta)))
+    kept = tuple(el for el in gs.elements if el.function.values != (0, 1))
+    assert len(kept) == len(gs.elements) - 1
+    short = GeneratorSet(gs.graph, gs.divisor, kept)
+    assert certify_basis(short, 2) == {1: 1, 2: 1}
+    with pytest.raises(CertificateError, match="of degree 3 has no product certificate"):
+        certify_basis(short, 3)
 
 
 def test_decompose_product_of_generators(theta):
@@ -375,3 +423,20 @@ def test_hilbert_basis_degree_check_survives_optimized_mode():
         "    print(exc)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "a Hilbert basis element has degree below 1\n"
+
+
+def test_certify_basis_check_survives_optimized_mode():
+    proc = run_optimized(
+        "import tropdiv.generators as gen\n"
+        "from tropdiv.errors import CertificateError\n"
+        "from tropdiv.graphs import build_graph, canonical_divisor\n"
+        "theta = build_graph(2, [(0, 1)] * 3)\n"
+        "gs = gen.hilbert_basis(gen.graded_cone(theta, canonical_divisor(theta)))\n"
+        "kept = tuple(el for el in gs.elements if el.function.values != (0, 1))\n"
+        "short = gen.GeneratorSet(gs.graph, gs.divisor, kept)\n"
+        "try:\n"
+        "    gen.certify_basis(short, 3)\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("of degree 3 has no product certificate\n"), proc.stdout
