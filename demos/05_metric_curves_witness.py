@@ -10,9 +10,8 @@ refute.  The generator degrees 2sL are unbounded, so no finite set works.
 
 from tropdiv import (build_metric_graph, build_witness,
                      canonical_divisor_metric, check_hypotheses,
-                     complete_graph_instance, indecomposability_check,
-                     metric_firing_subgraphs, nonfinite_certificate,
-                     WitnessInstance)
+                     complete_graph_instance, metric_firing_subgraphs,
+                     nonfinite_certificate, WitnessInstance)
 
 # the metric theta with unit lengths: the smallest hyperelliptic example
 theta = build_metric_graph(2, [(0, 1)] * 3, [1, 1, 1], labels=["p", "q"])
@@ -26,9 +25,8 @@ for s in (1, 2):
     res = build_witness(inst, s)
     print(f"s={s}: witness degree {res.degree}, r at {res.r.offset} "
           f"(not a Z-point), orders at (p, q, r): {res.order_triple}")
-    obs = indecomposability_check(inst, s)
     print(f"  kK ~ 2k[r] solvable below degree {res.degree}?",
-          {j: obs['rows'][j] for j in range(1, res.degree)})
+          {j: res.obstruction["rows"][j] for j in range(1, res.degree)})
 
 # the firing family certifying extremality at s=1
 res = build_witness(inst, 1)
@@ -39,7 +37,7 @@ for sub in family:
 
 # a bundle of certificates standing in for the unbounded induction
 report = nonfinite_certificate(inst, [1, 2])
-print("certificate degrees:", [c["degree"] for c in report["certificates"]])
+print("certificate degrees:", [c.degree for c in report["certificates"]])
 print(report["conclusion"])
 
 # complete graphs: K4 goes through n=2 (even), K5 through n=1 (odd)

@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import DEFAULT_BUDGET, Budget
 from .errors import (BudgetExceeded, CertificateError, HypothesisFailure,
                      InputError, NotMember, TropdivError)
 from .generators import decompose, graded_cone, hilbert_basis, certify_basis, verify_gn
@@ -25,7 +25,7 @@ from .serialize import (divisor_from_json, dumps, element_to_json,
                         metric_divisor_to_json, metric_graph_from_json,
                         pl_function_to_json, point_to_json)
 from .witness import (WitnessInstance, build_witness, check_hypotheses,
-                      complete_graph_instance, indecomposability_check)
+                      complete_graph_instance)
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,27 @@ class Config:
     output: str | None
 
 
-def _add_common(parser):
+# budget flag -> (Budget field, help); a subcommand offers only the caps its
+# searches read
+BUDGET_FLAGS = {
+    "--max-vertices": ("max_firing_vertices",
+                       "cap on support points plus zero-chip components "
+                       "in an exhaustive firing-subset search (the replay "
+                       "of an extremal answer, and the metric firing "
+                       "search of trop witness and trop complete-graph)"),
+    "--max-degree": ("max_degree", "largest graded degree searched or certified"),
+    "--max-products": ("max_products",
+                       "cap on degree-exact products per decomposition "
+                       "and on ray subsets per cone"),
+}
+
+
+def _add_common(parser, *flags):
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
-    parser.add_argument("--max-vertices", type=int, default=24,
-                        help="cap on support points plus zero-chip components "
-                             "in an exhaustive firing-subset search (the replay "
-                             "of an extremal answer, and the metric firing "
-                             "search of trop witness and trop complete-graph)")
-    parser.add_argument("--max-degree", type=int, default=64)
-    parser.add_argument("--max-products", type=int, default=1_000_000)
+    for flag in flags:
+        field, text = BUDGET_FLAGS[flag]
+        parser.add_argument(flag, type=int, dest=field,
+                            default=getattr(DEFAULT_BUDGET, field), help=text)
 
 
 def build_parser():
@@ -64,14 +76,14 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--divisor", required=True)
     p.add_argument("--m", type=int, default=1)
-    _add_common(p)
+    _add_common(p, "--max-vertices")
 
     p = sub.add_parser("generators", help="Hilbert basis of the graded semi-ring")
     p.add_argument("--graph", required=True)
     p.add_argument("--divisor", required=True)
     p.add_argument("--certify-bound", type=int, default=0,
                    help="also certify every degree up to this bound")
-    _add_common(p)
+    _add_common(p, "--max-degree", "--max-products")
 
     p = sub.add_parser("check-generated",
                        help="decompose a target over lower-degree elements")
@@ -81,11 +93,11 @@ def build_parser():
                    help="JSON with 'values' and 'degree'")
     p.add_argument("--below-degree", type=int, default=None,
                    help="use generators of degree <= this (default: degree-1)")
-    _add_common(p)
+    _add_common(p, "--max-degree", "--max-products")
 
     p = sub.add_parser("verify-gn", help="unbounded generator degree certificate")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, *BUDGET_FLAGS)
 
     trop = sub.add_parser("trop", help="Z-metric graph commands")
     tropsub = trop.add_subparsers(dest="trop_command", required=True)
@@ -101,25 +113,25 @@ def build_parser():
                    help="JSON with 'curve', 'divisor' ('K' allowed), 'edge', 'n'")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json", dest="fmt")
-    _add_common(p)
+    _add_common(p, "--max-vertices")
 
     p = tropsub.add_parser("complete-graph",
                            help="instance on the complete graph K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--len", type=int, default=1, dest="edge_len")
     p.add_argument("--s", type=int, nargs="*", default=[])
-    _add_common(p)
+    _add_common(p, "--max-vertices")
 
     return parser
 
 
 def _config(args):
-    budget = Budget(max_firing_vertices=args.max_vertices,
-                    max_degree=args.max_degree,
-                    max_products=args.max_products)
-    if args.max_vertices <= 0 or args.max_degree <= 0 or args.max_products <= 0:
+    caps = {field: getattr(args, field) for field, _ in BUDGET_FLAGS.values()
+            if hasattr(args, field)}
+    if any(cap <= 0 for cap in caps.values()):
         raise InputError("budgets must be positive")
-    return Config(budget=budget, fmt=getattr(args, "fmt", "json"), output=args.output)
+    return Config(budget=Budget(**caps), fmt=getattr(args, "fmt", "json"),
+                  output=args.output)
 
 
 def _load_graph_divisor(args):
@@ -145,9 +157,9 @@ def _load_instance(path):
         raise InputError(f"bad instance JSON: {exc}") from exc
 
 
-def _witness_payload(inst, s, result, obstruction):
+def _witness_payload(result):
     return {
-        "s": s,
+        "s": result.s,
         "degree": result.degree,
         "N": result.big_n,
         "r": point_to_json(result.r),
@@ -155,8 +167,8 @@ def _witness_payload(inst, s, result, obstruction):
         "claims": result.claims,
         "ftilde": pl_function_to_json(result.ftilde),
         "f": pl_function_to_json(result.f),
-        "obstruction": {str(k): v for k, v in obstruction["rows"].items()},
-        "obstruction_holds": obstruction["obstruction_holds"],
+        "obstruction": {str(k): v for k, v in result.obstruction["rows"].items()},
+        "obstruction_holds": result.obstruction["obstruction_holds"],
     }
 
 
@@ -290,10 +302,9 @@ def dispatch_trop(args, config):
             return 1, {"command": "trop witness", "verified": False,
                        "error": str(exc),
                        "hypotheses": _hypotheses_payload(check_hypotheses(inst))}
-        obstruction = indecomposability_check(inst, args.s)
         if config.fmt == "dot":
             return 0, _witness_dot(inst, result)
-        payload = _witness_payload(inst, args.s, result, obstruction)
+        payload = _witness_payload(result)
         payload["command"] = "trop witness"
         return 0, payload
 
@@ -308,11 +319,8 @@ def dispatch_trop(args, config):
                    "canonical_degree": inst.d,
                    "divisor": metric_divisor_to_json(inst.divisor),
                    "hypotheses": _hypotheses_payload(hypo)}
-        certificates = []
-        for s in args.s:
-            result = build_witness(inst, s, budget=budget)
-            obstruction = indecomposability_check(inst, s)
-            certificates.append(_witness_payload(inst, s, result, obstruction))
+        certificates = [_witness_payload(build_witness(inst, s, budget=budget))
+                        for s in args.s]
         if certificates:
             payload["certificates"] = certificates
         return (0 if hypo["all_pass"] else 1), payload

@@ -244,6 +244,9 @@ def certify_basis(basis, m_max, budget=DEFAULT_BUDGET):
     Returns {m: number of elements certified}; raises CertificateError if
     any element fails, since that would disprove completeness of the basis.
     """
+    if m_max < 0:
+        raise InputError(f"certify bound {m_max} is negative")
+    budget.check_degree(m_max)
     cone = graded_cone(basis.graph, basis.divisor)
     slices = [cone.element_to_slice(el) for el in basis.elements]
     certified = {}

@@ -349,24 +349,6 @@ class PLFunction:
 
     # -- orders and divisor ------------------------------------------------------
 
-    def ord_at(self, p):
-        if p.is_vertex:
-            total = 0
-            for e, (u, v) in enumerate(self.graph.model.edges):
-                if u == p.index:
-                    total += self._slopes[e][0]
-                if v == p.index:
-                    total -= self._slopes[e][-1]
-            return total
-        if not (0 <= p.index < len(self.segs) and 0 < p.offset < self.graph.lengths[p.index]):
-            raise InputError(f"point {p.describe()} is not inside an edge")
-        slopes = self._slopes[p.index]
-        for i, (o, _) in enumerate(self.segs[p.index]):
-            if o == p.offset:
-                return slopes[i] - slopes[i - 1]
-        # interior non-breakpoint: slopes cancel
-        return 0
-
     def div(self):
         """Divisor of orders; supported on vertices and interior breakpoints.
 

@@ -11,8 +11,9 @@ the witness would force k*D ~ kd[r] for some 1 <= k <= 2sL-1, where r is a
 non-integral point; every such equivalence is refuted by an exact solve on
 one refined model shared by all rows.  Solvability of k*D ~ kd[r] also
 forces an integrality constraint that makes k a multiple of 2LN-1 > 2sL-1,
-which is checked whenever a solvable degree is encountered.  Every failed
-proof leg raises CertificateError; no claim is recorded unchecked.
+which is checked whenever a solvable degree is encountered.  build_witness
+proves every leg of one degree, obstruction table included; every failed
+proof leg raises CertificateError, so no claim is recorded unchecked.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ class WitnessResult:
     degree: int                     # 2sL, the graded degree of f
     order_triple: tuple[int, int, int] | None
     claims: dict
+    obstruction: dict               # indecomposability_check's report
 
 
 def build_witness(inst, s, budget=DEFAULT_BUDGET):
@@ -128,8 +130,9 @@ def build_witness(inst, s, budget=DEFAULT_BUDGET):
     slopes are -(LN-1) and LN, so LN[p] + LN[q] + div(ftilde) collapses to
     [p] + (2LN-1)[r].  The endpoint-equivalence witness for n, raised to the
     tropical power s/n, solves s*D ~ (N/2)([p]+[q]); composing its 2L-th
-    power with ftilde lands the target divisor exactly.  Every claim is the
-    outcome of a check run here; a failed check raises CertificateError.
+    power with ftilde lands the target divisor exactly.  The obstruction
+    table below degree 2sL is the last leg.  Every claim is the outcome of a
+    check run here; a failed check raises CertificateError.
     """
     report = check_hypotheses(inst)
     if not report["all_pass"]:
@@ -144,17 +147,17 @@ def build_witness(inst, s, budget=DEFAULT_BUDGET):
         inst.graph, [0] * inst.graph.model.vertex_count,
         interior={inst.edge: [(r.offset, dip)]})
     target = MetricDivisor.of(inst.graph, {Point.vertex(inst.p): 1, r: denom})
+    tent = ftilde.div()
     _prove(claims, "target_divisor",
-           inst.endpoints_divisor(big_l * big_n) + ftilde.div() == target)
+           inst.endpoints_divisor(big_l * big_n) + tent == target)
 
     order_triple = None
     p = Point.vertex(inst.p)
     if inst.p != inst.q:
-        order_triple = (ftilde.ord_at(p), ftilde.ord_at(Point.vertex(inst.q)),
-                        ftilde.ord_at(r))
+        order_triple = (tent.coeff(p), tent.coeff(Point.vertex(inst.q)), tent.coeff(r))
         orders = order_triple == (-(big_l * big_n - 1), -big_l * big_n, denom)
     else:
-        orders = (ftilde.ord_at(p), ftilde.ord_at(r)) == (-denom, denom)
+        orders = (tent.coeff(p), tent.coeff(r)) == (-denom, denom)
     _prove(claims, "orders_match", orders)
 
     w = report["equivalence_witness"].power(s // inst.n)
@@ -164,8 +167,12 @@ def build_witness(inst, s, budget=DEFAULT_BUDGET):
     _prove(claims, "target_divisor", degree * inst.divisor + f.div() == target)
     _prove(claims, "extremal",
            is_extremal_metric(inst.graph, degree * inst.divisor, f, budget))
+    obstruction = indecomposability_check(inst, s)
+    if not obstruction["obstruction_holds"]:
+        raise CertificateError(f"obstruction fails below degree {degree}")
     return WitnessResult(s=s, big_n=big_n, r=r, ftilde=ftilde, f=f,
-                         degree=degree, order_triple=order_triple, claims=claims)
+                         degree=degree, order_triple=order_triple, claims=claims,
+                         obstruction=obstruction)
 
 
 def indecomposability_check(inst, s):
@@ -206,28 +213,14 @@ def nonfinite_certificate(inst, s_list, budget=DEFAULT_BUDGET):
     Each certificate pins an extremal element of degree 2sL that elements of
     lower degree cannot generate.  Any candidate finite generating set has a
     maximal generator degree M; choosing s with 2sL > M defeats it, so the
-    family stands in for the unbounded induction.
+    family stands in for the unbounded induction.  The certificates are
+    build_witness's results, one per s.
     """
     if not s_list:
         raise InputError("s_list must be nonempty")
-    certificates = []
-    for s in s_list:
-        result = build_witness(inst, s, budget=budget)
-        obstruction = indecomposability_check(inst, s)
-        if not obstruction["obstruction_holds"]:
-            raise CertificateError(f"obstruction fails below degree {result.degree}")
-        certificates.append({
-            "s": s,
-            "degree": result.degree,
-            "r": result.r,
-            "claims": result.claims,
-            "order_triple": result.order_triple,
-            "obstruction": obstruction,
-            "witness": result,
-        })
     return {
         "hypotheses": check_hypotheses(inst),
-        "certificates": certificates,
+        "certificates": [build_witness(inst, s, budget) for s in s_list],
         "conclusion": ("every degree bound M is exceeded by the witness with "
                        "2sL > M; the graded semi-ring has no finite "
                        "generating set"),

@@ -302,3 +302,35 @@ def metric_firing_subgraphs_by_unions(graph, divisor):
         if can_fire_metric(graph, divisor, sub):
             out.append(sub)
     return sorted(out, key=lambda s: (len(s.intervals), s.intervals, sorted(s.vertices)))
+
+
+def order_at(f, p):
+    """ord_p(f), the sum of f's outgoing slopes at p, read off the breakpoint
+    lists one point at a time (the per-point reference for PLFunction.div).
+
+    p is a model vertex or a point strictly inside an edge; anything else is
+    an InputError.
+    """
+    from tropdiv.errors import InputError
+    graph = f.graph
+
+    def slope_leaving(e, o, forward):
+        # slope of edge e's piece that starts (forward) or ends at offset o,
+        # measured away from o
+        for (o1, v1), (o2, v2) in zip(f.segs[e], f.segs[e][1:]):
+            if (o1 <= o < o2) if forward else (o1 < o <= o2):
+                slope = (v2 - v1) / (o2 - o1)
+                return slope if forward else -slope
+        raise AssertionError("offset outside edge")
+
+    if p.is_vertex:
+        total = 0
+        for e, (u, v) in enumerate(graph.model.edges):
+            if u == p.index:
+                total += slope_leaving(e, 0, True)
+            if v == p.index:
+                total += slope_leaving(e, graph.lengths[e], False)
+        return total
+    if not (0 <= p.index < graph.model.edge_count and 0 < p.offset < graph.lengths[p.index]):
+        raise InputError(f"point {p.describe()} is not inside an edge")
+    return slope_leaving(p.index, p.offset, True) + slope_leaving(p.index, p.offset, False)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import tropdiv.generators
 import tropdiv.witness
-from tropdiv.cli import main
+from tropdiv.cli import build_parser, main
 from tropdiv.serialize import dumps
 
 
@@ -96,6 +97,18 @@ def test_generators_command(tmp_path, theta_file):
                                          "--certify-bound", "6"]))
     assert data["degrees"] == [1, 3]
     assert data["certified"]["6"] == 5
+
+
+def test_generators_certify_bound_is_validated(tmp_path, theta_file, capsys):
+    code = main(["generators", "--graph", theta_file, "--divisor", "K",
+                 "--certify-bound", "-3", "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: certify bound -3 is negative\n"
+    assert not (tmp_path / "out.json").exists()
+    data = json.loads(run_cli(tmp_path, ["generators", "--graph", theta_file,
+                                         "--divisor", "K", "--certify-bound", "20",
+                                         "--max-degree", "10"], expect_code=3))
+    assert data == {"detail": "degree 20 exceeds budget 10", "error": "budget exceeded"}
 
 
 def test_check_generated_absent(tmp_path, theta_file):
@@ -246,6 +259,23 @@ def test_trop_witness_failed_leg_exits_1(tmp_path, instance_file, monkeypatch,
     assert not (tmp_path / "out.json").exists()
 
 
+def test_trop_witness_failed_obstruction_exits_1(tmp_path, instance_file, monkeypatch,
+                                                capsys):
+    real = tropdiv.witness.indecomposability_check
+    monkeypatch.setattr(tropdiv.witness, "indecomposability_check",
+                        lambda inst, s: {**real(inst, s), "obstruction_holds": False})
+    for fmt in ("json", "dot"):
+        out = tmp_path / f"out.{fmt}"
+        code = main(["trop", "witness", "--instance", instance_file, "--s", "1",
+                     "--format", fmt, "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: obstruction fails below degree 2\n"
+        assert not out.exists()
+    assert main(["trop", "complete-graph", "--n", "4", "--s", "2",
+                 "--output", str(tmp_path / "out.json")]) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.fixture
 def k4_instance_file(tmp_path):
     edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
@@ -273,6 +303,57 @@ def test_max_vertices_caps_the_metric_firing_search(tmp_path, k4_instance_file):
         assert data == {"detail": "firing search parts: 4 exceeds budget 3",
                         "error": "budget exceeded"}
         run_cli(tmp_path, argv + ["--max-vertices", "4"])
+
+
+BUDGET_SURFACE = {
+    ("rgd", "--graph", "g.json", "--divisor", "K"): set(),
+    ("extremals", "--graph", "g.json", "--divisor", "K"): {"--max-vertices"},
+    ("generators", "--graph", "g.json", "--divisor", "K"):
+        {"--max-degree", "--max-products"},
+    ("check-generated", "--graph", "g.json", "--divisor", "K", "--target", "t.json"):
+        {"--max-degree", "--max-products"},
+    ("verify-gn", "--n", "2"): {"--max-vertices", "--max-degree", "--max-products"},
+    ("trop", "equiv", "--curve", "c.json", "--d1", "a.json", "--d2", "b.json"): set(),
+    ("trop", "witness", "--instance", "i.json", "--s", "1"): {"--max-vertices"},
+    ("trop", "complete-graph", "--n", "4"): {"--max-vertices"},
+}
+ALL_BUDGET_FLAGS = {"--max-vertices", "--max-degree", "--max-products"}
+
+
+def _leaf_parsers(parser=None, path=()):
+    """(path, parser) for every subcommand that takes no further subcommand."""
+    parser = parser or build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def _budget_flags(parser):
+    return {opt for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--max-")}
+
+
+@pytest.mark.parametrize("argv", sorted(BUDGET_SURFACE), ids=lambda argv: argv[0] + (
+    f"-{argv[1]}" if argv[0] == "trop" else ""))
+def test_each_subcommand_offers_only_the_caps_it_reads(tmp_path, capsys, argv):
+    path = argv[:2] if argv[0] == "trop" else argv[:1]
+    flags = _budget_flags(dict(_leaf_parsers())[path])
+    assert flags == BUDGET_SURFACE[argv]
+    for flag in sorted(ALL_BUDGET_FLAGS - flags):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv) + [flag, "5", "--output", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_budget_flags_fill_ten_slots_over_every_subcommand():
+    leaves = dict(_leaf_parsers())
+    assert len(leaves) == len(BUDGET_SURFACE) == 8
+    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 10
 
 
 def test_trop_complete_graph_command(tmp_path):
@@ -390,7 +471,7 @@ def test_console_entry_point(tmp_path, theta_file):
 RGD_OPTIMIZED_CHECK = """
 import sys
 import tropdiv.linear_systems as linear_systems
-from tropdiv.cli import main
+from tropdiv.cli import build_parser, main
 
 linear_systems.rgd_member = lambda *args: False
 code = main(["rgd", "--graph", sys.argv[1], "--divisor", "K", "--m", "3",

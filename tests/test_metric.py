@@ -14,10 +14,11 @@ from tropdiv.metric import (
     is_extremal_metric, linear_equiv_metric, metric_firing_subgraphs,
     rgd_member_metric)
 from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
+from tropdiv.witness import build_witness, complete_graph_instance
 
 from conftest import run_optimized
 from oracles import (components_of_complement, grid_model,
-                     metric_firing_subgraphs_by_unions)
+                     metric_firing_subgraphs_by_unions, order_at)
 
 
 @pytest.fixture
@@ -121,10 +122,26 @@ def test_constant_divisor_is_zero(mtheta):
 
 def test_order_at_a_point_outside_every_edge_interior(mtheta):
     f = tent(mtheta)
-    assert f.ord_at(Point.interior(0, F(2, 3))) == 3
+    assert order_at(f, Point.interior(0, F(2, 3))) == 3
     for p in (Point.interior(0, 0), Point.interior(0, 1), Point.interior(3, F(1, 2))):
         with pytest.raises(InputError):
-            f.ord_at(p)
+            order_at(f, p)
+
+
+def test_div_agrees_with_the_per_point_order(mtheta, mk4):
+    rng = random.Random(13)
+    functions = [tent(mtheta), build_witness(complete_graph_instance(4), 2).ftilde,
+                 build_witness(complete_graph_instance(5), 1).ftilde]
+    functions += [grid_function(rng, mtheta, 3, 5) for _ in range(10)]
+    functions += [grid_function(rng, mk4, 2, 3) for _ in range(10)]
+    for f in functions:
+        graph = f.graph
+        points = {Point.vertex(x) for x in range(graph.model.vertex_count)}
+        points |= {Point.interior(e, o) for e, bps in enumerate(f.segs) for o, _ in bps[1:-1]}
+        points |= {Point.interior(e, length / 3) for e, length in enumerate(graph.lengths)}
+        d = f.div()
+        assert {p for p, _ in d.items} <= points
+        assert all(d.coeff(p) == order_at(f, p) for p in points)
 
 
 def test_cycle_slopes_two_ways(mk4):

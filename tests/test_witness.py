@@ -98,10 +98,9 @@ def test_indecomposability_k4():
 
 def test_nonfinite_certificate_theta(theta_instance):
     report = nonfinite_certificate(theta_instance, [1, 2])
-    degrees = [c["degree"] for c in report["certificates"]]
+    degrees = [c.degree for c in report["certificates"]]
     assert degrees == [2, 4]
-    assert all(c["obstruction"]["obstruction_holds"]
-               for c in report["certificates"])
+    assert all(c.obstruction["obstruction_holds"] for c in report["certificates"])
 
 
 def test_nonfinite_certificate_empty_list(theta_instance):
@@ -196,6 +195,22 @@ def test_failed_extremality_voids_the_witness(theta_instance, monkeypatch):
         build_witness(theta_instance, 1)
     with pytest.raises(CertificateError):
         nonfinite_certificate(theta_instance, [1])
+
+
+def test_failed_obstruction_voids_the_certificate(theta_instance, monkeypatch):
+    real = indecomposability_check
+    monkeypatch.setattr(tropdiv.witness, "indecomposability_check",
+                        lambda inst, s: {**real(inst, s), "obstruction_holds": False})
+    with pytest.raises(CertificateError, match="obstruction fails below degree 2"):
+        build_witness(theta_instance, 1)
+    with pytest.raises(CertificateError):
+        nonfinite_certificate(theta_instance, [1])
+
+
+def test_witness_carries_its_obstruction_table(theta_instance):
+    res = build_witness(theta_instance, 2)
+    assert res.obstruction == indecomposability_check(theta_instance, 2)
+    assert res.obstruction["degree"] == res.degree
 
 
 def test_failed_obstruction_row_voids_the_table(theta_instance, monkeypatch):
