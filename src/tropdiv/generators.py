@@ -17,9 +17,10 @@ certificates either way.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, prod
-from operator import add, ge, mul, sub
+from operator import ge, mul, sub
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, DegenerateCone, InputError,
@@ -27,7 +28,7 @@ from .errors import (CertificateError, DegenerateCone, InputError,
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
 from .intlinalg import frac_nullspace, frac_rank, smith_normal_form
-from .linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
+from .linear_systems import RgdElement, _cover_step, is_extremal, rgd_enumerate
 
 
 @dataclass(frozen=True)
@@ -298,24 +299,10 @@ def _gen_elements(gens):
     return list(gens)
 
 
-def _degree_exact_products(degrees, total):
-    """Multisets of generator indices with degree sum exactly total, as
-    non-decreasing index tuples in lexicographic order."""
-    stack = [(0, total, ())]
-    while stack:
-        start, remaining, product = stack.pop()
-        if remaining == 0:
-            yield product
-            continue
-        # pushed from the last index down, so the smallest is popped first
-        for i in range(len(degrees) - 1, start - 1, -1):
-            if 0 < degrees[i] <= remaining:
-                stack.append((i, remaining - degrees[i], product + (i,)))
-
-
 def _count_products(degrees, total):
-    """Number of _degree_exact_products: the coefficient of x^total in the
-    product of 1 / (1 - x^d) over the degrees d in [1, total]."""
+    """Number of multisets of generator indices with degree sum exactly
+    total: the coefficient of x^total in the product of 1 / (1 - x^d) over
+    the degrees d in [1, total]."""
     ways = [1] + [0] * total
     for d in degrees:
         if 0 < d <= total:
@@ -333,6 +320,15 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     certificate is the corresponding tropical sum.  The search over products
     is exhaustive, so a negative answer is a proof of absence below the
     stated bound.
+
+    Products are the multisets of generator indices, walked depth first as
+    non-decreasing index tuples in lexicographic order.  The walk carries
+    f minus the product of the factors chosen so far, so each product costs
+    one subtraction of its last factor, and only the still-uncovered
+    vertices are tested for a match.  fits[i][r] says whether generators of
+    index >= i have degrees summing to exactly r, so every branch the walk
+    enters ends in a product; a negative answer still counts the products
+    against _count_products.
     """
     elements = _gen_elements(gens)
     m = target.degree
@@ -345,33 +341,50 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     n_products = _count_products(degrees, m)
     budget.check_count(n_products, budget.max_products, "degree-exact products")
 
-    fvals = target.function.values
-    products = []
+    fits = [[r == 0 for r in range(m + 1)]]
+    for d in reversed(degrees):
+        row = list(fits[-1])
+        for r in range(d, m + 1):
+            row[r] = row[r] or row[r - d]
+        fits.append(row)
+    fits.reverse()
+    # options[r]: the indices that can come next with r degrees left, some
+    # index at least as large completing the product
+    options = [[i for i, d in enumerate(degrees) if d <= r and fits[i][r - d]]
+               for r in range(m + 1)]
+    values = [el.function.values for el in usable]
+    uncovered = list(range(len(target.function.values)))
+    terms = []
+    checked = 0
+    # each frame: the indices left to try, the degree left, f minus the
+    # frame's product, and that product
+    stack = [(iter(options[m]), m, target.function.values, ())]
+    while stack and uncovered:
+        it, r, diff, product = stack[-1]
+        for i in it:
+            rest = list(map(sub, diff, values[i]))
+            if degrees[i] < r:
+                left = r - degrees[i]
+                opts = options[left]
+                stack.append((iter(opts[bisect_left(opts, i):]), left, rest, product + (i,)))
+                break
+            checked += 1
+            shift = _cover_step(rest, uncovered)
+            if shift is not None:
+                terms.append((shift, product + (i,)))
+                if not uncovered:
+                    break
+        else:
+            stack.pop()
 
-    def product_values():
-        # sums[k] is the value vector of the first k factors; consecutive
-        # products in lexicographic order share a prefix, whose sums are kept
-        sums = [[0] * len(fvals)]
-        prev = ()
-        for product in _degree_exact_products(degrees, m):
-            k = 0
-            while k < len(prev) and k < len(product) and prev[k] == product[k]:
-                k += 1
-            del sums[k + 1:]
-            for i in product[k:]:
-                sums.append(list(map(add, sums[-1], usable[i].function.values)))
-            products.append(product)
-            prev = product
-            yield sums[-1]
-
-    # the cover stops pulling products once every vertex is touched
-    cover = oplus_cover(fvals, product_values())
     bound = f"all {n_products} products of degree exactly {m} over {len(usable)} generators"
-    if cover is None:
-        return GenerationCertificate(target, False, (), len(products), bound)
-    terms = tuple((shift, products[idx]) for shift, idx in cover)
-    cert = GenerationCertificate(target, True, terms, len(products), bound)
-    if cert.evaluate(usable).values != fvals:
+    if uncovered:
+        if checked != n_products:
+            raise CertificateError(
+                f"the product walk checked {checked} of {n_products} products")
+        return GenerationCertificate(target, False, (), checked, bound)
+    cert = GenerationCertificate(target, True, tuple(terms), checked, bound)
+    if cert.evaluate(usable).values != target.function.values:
         raise CertificateError("generation certificate does not replay")
     return cert
 

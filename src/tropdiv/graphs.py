@@ -109,20 +109,6 @@ class FiniteGraph:
             return self.labels[x]
         return f"v{x}"
 
-    def to_dot(self, divisor=None, highlight=()):
-        """GraphViz rendering; divisor coefficients become vertex labels."""
-        lines = ["graph G {"]
-        for x in range(self.vertex_count):
-            label = self.label_of(x)
-            if divisor is not None and divisor.coeffs[x] != 0:
-                label += f" [{divisor.coeffs[x]}]"
-            extra = ' color="red"' if x in set(highlight) else ""
-            lines.append(f'  {x} [label="{label}"{extra}];')
-        for u, v in self.edges:
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def build_graph(vertex_count, edges, labels=None):
     """Validate and build a connected multigraph."""
@@ -137,7 +123,7 @@ class Divisor:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     @staticmethod
     def zero(n):
@@ -188,7 +174,7 @@ class RationalFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
 
     def normalized(self):
         """Representative of the constant-shift orbit with minimum value 0."""

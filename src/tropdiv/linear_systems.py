@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, EmptyOrFullSubset, InputError, NotMember,
@@ -170,7 +170,8 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
         if not rgd_member(graph, divisor, f):
             raise CertificateError("enumerated element fails the membership replay")
         out.append(RgdElement(degree, f))
-    return tuple(sorted(out))
+    # every element has this degree, so their values alone fix the order
+    return tuple(sorted(out, key=lambda el: el.function.values))
 
 
 def chip_firing_function(graph, subset):
@@ -324,6 +325,21 @@ def extremals(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
                  if is_extremal(graph, divisor, el.function, budget))
 
 
+def _cover_step(diffs, uncovered):
+    """One candidate of a cover, given diffs = target - candidate.
+
+    Shifted by min(diffs), the candidate stays <= target and matches it
+    exactly on the argmin.  Drops the uncovered vertices it matches from
+    the list uncovered and returns the shift, or returns None when it
+    matches none of them.
+    """
+    shift = min(diffs)
+    if shift not in map(diffs.__getitem__, uncovered):
+        return None
+    uncovered[:] = [v for v in uncovered if diffs[v] != shift]
+    return shift
+
+
 def oplus_cover(target_values, candidate_values):
     """Decide whether target = max over shifted candidates, constructively.
 
@@ -333,16 +349,12 @@ def oplus_cover(target_values, candidate_values):
     cover every vertex.  Returns the list of (shift, candidate_index) terms
     actually needed, or None.
     """
-    n = len(target_values)
-    uncovered = set(range(n))
+    uncovered = list(range(len(target_values)))
     terms = []
     for idx, cand in enumerate(candidate_values):
-        diffs = [t - c for t, c in zip(target_values, cand)]
-        shift = min(diffs)
-        touched = {i for i, d in enumerate(diffs) if d == shift}
-        if touched & uncovered:
+        shift = _cover_step(list(map(sub, target_values, cand)), uncovered)
+        if shift is not None:
             terms.append((shift, idx))
-            uncovered -= touched
-        if not uncovered:
-            return terms
+            if not uncovered:
+                return terms
     return None

@@ -208,7 +208,7 @@ class PLFunction:
     The integer slopes of the canonical pieces are kept per edge.
     """
 
-    __slots__ = ("graph", "segs", "_slopes", "_vertex_values")
+    __slots__ = ("graph", "segs", "_slopes")
 
     def __init__(self, graph, segs):
         self.graph = graph
@@ -248,7 +248,6 @@ class PLFunction:
                     values[x] = val
                 elif values[x] != val:
                     raise InvalidPL(f"discontinuous at vertex {x}")
-        self._vertex_values = tuple(values)
 
     # -- construction helpers -------------------------------------------------
 
@@ -283,11 +282,6 @@ class PLFunction:
 
     def __repr__(self):
         return f"PLFunction({self.segs!r})"
-
-    def value_at(self, p):
-        if p.is_vertex:
-            return self._vertex_values[p.index]
-        return self._eval_edge(p.index, p.offset)
 
     def min_value(self):
         return min(v for bps in self.segs for _, v in bps)
@@ -523,13 +517,6 @@ class MetricSubgraph:
         intervals = intervals or {}
         return MetricSubgraph(graph, frozenset(vertices),
                               tuple((e, tuple(ivs)) for e, ivs in intervals.items()))
-
-    @staticmethod
-    def from_point(graph, p):
-        if p.is_vertex:
-            return MetricSubgraph.build(graph, vertices={p.index})
-        return MetricSubgraph.build(
-            graph, intervals={p.index: [(p.offset, p.offset)]})
 
     @staticmethod
     def whole(graph):

@@ -52,14 +52,6 @@ def frac_from_json(x):
 # -- finite graphs --------------------------------------------------------------
 
 
-def graph_to_json(g):
-    out = {"vertices": g.vertex_count,
-           "edges": [[u, v] for u, v in g.edges]}
-    if g.labels is not None:
-        out["labels"] = list(g.labels)
-    return out
-
-
 def graph_from_json(data):
     try:
         n = int_from_json(data["vertices"])
@@ -97,14 +89,6 @@ def element_to_json(el):
 
 
 # -- metric graphs ---------------------------------------------------------------
-
-
-def metric_graph_to_json(g):
-    out = {"model": graph_to_json(g.model),
-           "lengths": {str(e): frac_to_json(x) for e, x in enumerate(g.lengths)}}
-    if g.is_refinement:
-        out["is_refinement"] = True
-    return out
 
 
 def metric_graph_from_json(data):

@@ -284,7 +284,7 @@ def metric_firing_subgraphs_by_unions(graph, divisor):
     from tropdiv.metric import MetricSubgraph, can_fire_metric
     support = sorted(divisor.support())
     parts = components_of_complement(graph, support) + \
-        [MetricSubgraph.from_point(graph, p) for p in support]
+        [subgraph_from_point(graph, p) for p in support]
     seen = set()
     out = []
     for mask in range(1, 1 << len(parts)):
@@ -334,3 +334,58 @@ def order_at(f, p):
     if not (0 <= p.index < graph.model.edge_count and 0 < p.offset < graph.lengths[p.index]):
         raise InputError(f"point {p.describe()} is not inside an edge")
     return slope_leaving(p.index, p.offset, True) + slope_leaving(p.index, p.offset, False)
+
+
+def to_dot(graph, divisor=None, highlight=()):
+    """GraphViz rendering of a finite graph; divisor coefficients become
+    vertex labels and highlighted vertices are drawn red."""
+    lines = ["graph G {"]
+    for x in range(graph.vertex_count):
+        label = graph.label_of(x)
+        if divisor is not None and divisor.coeffs[x] != 0:
+            label += f" [{divisor.coeffs[x]}]"
+        extra = ' color="red"' if x in set(highlight) else ""
+        lines.append(f'  {x} [label="{label}"{extra}];')
+    for u, v in graph.edges:
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def metric_graph_to_json(g):
+    """The wire form that serialize.metric_graph_from_json parses."""
+    from tropdiv.serialize import frac_to_json
+    model = {"vertices": g.model.vertex_count,
+             "edges": [[u, v] for u, v in g.model.edges]}
+    if g.model.labels is not None:
+        model["labels"] = list(g.model.labels)
+    out = {"model": model,
+           "lengths": {str(e): frac_to_json(x) for e, x in enumerate(g.lengths)}}
+    if g.is_refinement:
+        out["is_refinement"] = True
+    return out
+
+
+def value_at(f, p):
+    """f(p) for a PL function, read off its breakpoint lists: at a model
+    vertex the end value of an incident edge, inside an edge the linear
+    interpolation between the breakpoints around p."""
+    if p.is_vertex:
+        for e, (u, v) in enumerate(f.graph.model.edges):
+            if p.index in (u, v):
+                return f.segs[e][0][1] if u == p.index else f.segs[e][-1][1]
+        raise AssertionError("vertex on no edge")
+    bps = f.segs[p.index]
+    for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
+        if o1 <= p.offset <= o2:
+            return v1 + (v2 - v1) * (p.offset - o1) / (o2 - o1)
+    raise AssertionError("offset outside edge")
+
+
+def subgraph_from_point(graph, p):
+    """The one-point metric subgraph {p}."""
+    from tropdiv.metric import MetricSubgraph
+    if p.is_vertex:
+        return MetricSubgraph.build(graph, vertices={p.index})
+    return MetricSubgraph.build(graph, intervals={p.index: [(p.offset, p.offset)]})
+

@@ -25,7 +25,8 @@ from tropdiv.witness import (WitnessInstance, build_witness, check_hypotheses,
                              complete_graph_instance, indecomposability_check)
 
 from oracles import (components_of_complement, connected_multigraphs,
-                     rgd_box_enumerate_fast, sufficient_box)
+                     rgd_box_enumerate_fast, subgraph_from_point, sufficient_box,
+                     value_at)
 
 
 def report(criterion, ok, detail):
@@ -109,7 +110,7 @@ def test_c4_tent_orders():
     result = build_witness(inst, 1)
     ok = (result.r == curve.point(0, F(2, 3))
           and result.order_triple == (-1, -2, 3)
-          and result.ftilde.value_at(result.r) == F(-2, 3))
+          and value_at(result.ftilde, result.r) == F(-2, 3))
     report(4, ok, f"tent function at L=1, N=2: r at 2/3, orders "
                   f"{result.order_triple}")
 
@@ -123,7 +124,7 @@ def test_c5_extremality_and_firing_family():
     extremal = is_extremal_metric(curve, 2 * k, f)
     family = metric_firing_subgraphs(curve, 2 * k + f.div())
     expected = {
-        MetricSubgraph.from_point(curve, r),
+        subgraph_from_point(curve, r),
         MetricSubgraph.build(curve, vertices={0, 1},
                              intervals={0: [(F(2, 3), F(1))],
                                         1: [(F(0), F(1))],

@@ -10,7 +10,7 @@ from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_di
 from tropdiv.intlinalg import smith_normal_form
 from tropdiv.linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
 from tropdiv.generators import (
-    GeneratorSet, MonoidCone, _count_products, _degree_exact_products, _parallelepiped_points,
+    GeneratorSet, MonoidCone, _count_products, _parallelepiped_points,
     build_gn, certify_basis, decompose, extreme_rays, graded_cone, hilbert_basis,
     min_generator_degrees, monoid_certificate, verify_gn)
 
@@ -261,37 +261,87 @@ def test_product_count_matches_enumeration(rng):
     for _ in range(60):
         degrees = [rng.randint(-1, 5) for _ in range(rng.randint(0, 7))]
         total = rng.randint(0, 9)
-        assert _count_products(degrees, total) == len(list(_degree_exact_products(degrees, total)))
+        assert _count_products(degrees, total) == len(list(degree_exact_products(degrees, total)))
+
+
+def summed_products(gens, total):
+    """The oracle's products of degree exactly total over the usable
+    generators, each with its values summed factor by factor."""
+    usable = [el for el in gens if 0 < el.degree <= total]
+    products = list(degree_exact_products([el.degree for el in usable], total))
+    n = len(usable[0].function.values) if usable else 0
+    return products, [[sum(usable[i].function.values[x] for i in p) for x in range(n)]
+                      for p in products]
+
+
+def assert_decompose_matches_oracle(target, gens, products, values):
+    """decompose against oplus_cover over summed_products(gens, degree)."""
+    cover = oplus_cover(target.function.values, values)
+    cert = decompose(target, gens)
+    assert cert.generated == (cover is not None)
+    if cover is None:
+        assert cert.terms == ()
+        assert cert.products_checked == len(products)
+    else:
+        assert cert.terms == tuple((shift, products[i]) for shift, i in cover)
+        assert cert.products_checked == cover[-1][1] + 1
+    return cert.generated
 
 
 def test_product_walk_matches_recursion(rng):
     # the order fixes which products a certificate names and how many
-    # products decompose reports as checked
-    for _ in range(80):
-        degrees = [rng.randint(-1, 4) for _ in range(rng.randint(0, 6))]
-        total = rng.randint(0, 8)
-        assert (list(_degree_exact_products(degrees, total))
-                == list(degree_exact_products(degrees, total)))
+    # products decompose reports as checked; random generators of mixed,
+    # unsorted degrees (some unusable) give both answers
+    answers = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        total = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(0, 6)):
+            values = [rng.randint(0, 3) for _ in range(n)]
+            low = min(values)
+            gens.append(RgdElement(rng.randint(-1, total + 1),
+                                   RationalFunction(tuple(v - low for v in values))))
+        values = [rng.randint(0, 6) for _ in range(n)]
+        low = min(values)
+        target = RgdElement(total, RationalFunction(tuple(v - low for v in values)))
+        answers.add(assert_decompose_matches_oracle(
+            target, gens, *summed_products(gens, total)))
+    assert answers == {True, False}
 
 
-def test_decompose_matches_products_summed_afresh(k4):
-    # decompose sums each product from its prefix's values; its certificate
-    # must be the one the cover finds on products summed factor by factor
-    for graph in (k4, build_gn(2)[0]):
+def test_decompose_matches_products_summed_afresh(k4, rng):
+    # decompose carries the target minus each prefix product down its walk;
+    # its certificate must be the one the cover finds on products summed
+    # factor by factor, also when the generators' degrees are interleaved
+    answers = set()
+    for graph in (k4, build_gn(2)[0], build_gn(3)[0]):
         d = canonical_divisor(graph)
-        # a zero generator would hide a stale prefix sum, so leave it out
+        # a zero generator would hide a stale difference, so leave it out
         gens = [el for m in (1, 2) for el in rgd_enumerate(graph, m * d, degree=m)
                 if any(el.function.values)]
-        products = list(degree_exact_products([el.degree for el in gens], 3))
-        values = [[sum(gens[i].function.values[x] for i in p) for x in range(graph.vertex_count)]
-                  for p in products]
-        for target in rgd_enumerate(graph, 3 * d, degree=3)[:30]:
-            cover = oplus_cover(target.function.values, values)
-            cert = decompose(target, gens)
-            assert cert.generated == (cover is not None)
-            if cover is not None:
-                assert cert.terms == tuple((shift, products[i]) for shift, i in cover)
-                assert cert.products_checked == cover[-1][1] + 1
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        for order in (gens, shuffled):
+            products, values = summed_products(order, 3)
+            for target in rgd_enumerate(graph, 3 * d, degree=3):
+                answers.add(assert_decompose_matches_oracle(target, order, products, values))
+    assert answers == {True, False}
+
+
+def test_decompose_checks_its_product_count():
+    # a negative answer must have walked every product it budgeted for
+    proc = run_optimized(
+        "import tropdiv.generators as gen\n"
+        "from tropdiv.errors import CertificateError\n"
+        "count = gen._count_products\n"
+        "gen._count_products = lambda degrees, total: count(degrees, total) + 1\n"
+        "try:\n"
+        "    gen.verify_gn(3)\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the product walk checked 406 of 407 products\n", proc.stdout
 
 
 def test_min_generator_degrees_theta(theta):

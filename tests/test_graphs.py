@@ -6,6 +6,7 @@ from tropdiv.graphs import (
     linear_equiv, ord_and_div)
 
 from conftest import random_multigraph
+from oracles import to_dot
 
 
 def test_build_theta_valid(theta):
@@ -126,6 +127,6 @@ def test_bridges():
 
 
 def test_dot_output(theta):
-    dot = theta.to_dot(divisor=canonical_divisor(theta), highlight=[0])
+    dot = to_dot(theta, divisor=canonical_divisor(theta), highlight=[0])
     assert dot.startswith("graph G {")
     assert "p [1]" in dot

@@ -13,12 +13,13 @@ from tropdiv.metric import (
     build_metric_graph, can_fire_metric, canonical_divisor_metric, cf_move,
     is_extremal_metric, linear_equiv_metric, metric_firing_subgraphs,
     rgd_member_metric)
-from tropdiv.serialize import dumps, metric_graph_from_json, metric_graph_to_json
+from tropdiv.serialize import dumps, metric_graph_from_json
 from tropdiv.witness import build_witness, complete_graph_instance
 
 from conftest import run_optimized
-from oracles import (components_of_complement, grid_model,
-                     metric_firing_subgraphs_by_unions, order_at)
+from oracles import (components_of_complement, grid_model, metric_graph_to_json,
+                     metric_firing_subgraphs_by_unions, order_at, subgraph_from_point,
+                     value_at)
 
 
 @pytest.fixture
@@ -190,10 +191,10 @@ def test_oplus_odot_algebra(mtheta):
     c = PLFunction.constant(mtheta, F(-1, 3))
     both = ft.oplus(c)
     # max introduces crossings where the tent passes -1/3
-    assert both.value_at(Point.vertex(0)) == 0
-    assert both.value_at(mtheta.point(0, F(2, 3))) == F(-1, 3)
+    assert value_at(both, Point.vertex(0)) == 0
+    assert value_at(both, mtheta.point(0, F(2, 3))) == F(-1, 3)
     assert ft.oplus(ft) == ft
-    assert ft.odot(c).value_at(mtheta.point(0, F(2, 3))) == F(-2, 3) + F(-1, 3)
+    assert value_at(ft.odot(c), mtheta.point(0, F(2, 3))) == F(-2, 3) + F(-1, 3)
 
 
 def test_product_divisor_rule(mtheta):
@@ -278,23 +279,23 @@ def test_linear_equiv_metric_degree_mismatch(mtheta):
 
 def test_cf_move_around_interior_point(mtheta):
     r = mtheta.point(0, F(2, 3))
-    sub = MetricSubgraph.from_point(mtheta, r)
+    sub = subgraph_from_point(mtheta, r)
     cf = cf_move(mtheta, sub, F(1, 10))
     d = cf.div()
     assert d.coeff(r) == -2
     assert d.coeff(mtheta.point(0, F(2, 3) - F(1, 10))) == 1
     assert d.coeff(mtheta.point(0, F(2, 3) + F(1, 10))) == 1
-    assert cf.value_at(r) == 0
-    assert cf.value_at(Point.vertex(0)) == F(-1, 10)
+    assert value_at(cf, r) == 0
+    assert value_at(cf, Point.vertex(0)) == F(-1, 10)
 
 
 def test_can_fire_metric_examples(mtheta):
     k = canonical_divisor_metric(mtheta)
     r = mtheta.point(0, F(2, 3))
     e_div = MetricDivisor.of(mtheta, {Point.vertex(0): 1, r: 3})
-    assert can_fire_metric(mtheta, e_div, MetricSubgraph.from_point(mtheta, r))
+    assert can_fire_metric(mtheta, e_div, subgraph_from_point(mtheta, r))
     assert not can_fire_metric(
-        mtheta, k, MetricSubgraph.from_point(mtheta, Point.vertex(1)))
+        mtheta, k, subgraph_from_point(mtheta, Point.vertex(1)))
     with pytest.raises(EmptySubgraph):
         can_fire_metric(mtheta, k, MetricSubgraph.whole(mtheta))
     with pytest.raises(EmptySubgraph):
@@ -308,7 +309,7 @@ def test_can_fire_independent_of_l(mtheta):
     e_div = MetricDivisor.of(mtheta, {Point.vertex(0): 1, r: 3})
     for divisor in (k, 2 * k, e_div):
         for sub in metric_firing_subgraphs(mtheta, divisor) or \
-                [MetricSubgraph.from_point(mtheta, r)]:
+                [subgraph_from_point(mtheta, r)]:
             from tropdiv.metric import _sufficiently_small_l
             l = _sufficiently_small_l(mtheta, divisor, sub)
             base = can_fire_metric(mtheta, divisor, sub, l)
@@ -373,7 +374,7 @@ def test_firing_family_on_witness_divisor(mtheta):
     r = mtheta.point(0, F(2, 3))
     e_div = MetricDivisor.of(mtheta, {Point.vertex(0): 1, r: 3})
     subs = metric_firing_subgraphs(mtheta, e_div)
-    point_r = MetricSubgraph.from_point(mtheta, r)
+    point_r = subgraph_from_point(mtheta, r)
     complement = MetricSubgraph.build(
         mtheta, vertices={0, 1},
         intervals={0: [(F(2, 3), F(1))], 1: [(F(0), F(1))], 2: [(F(0), F(1))]})

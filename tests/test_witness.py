@@ -15,6 +15,8 @@ from tropdiv.witness import (WitnessInstance, build_witness, check_hypotheses,
                              complete_graph_instance, indecomposability_check,
                              nonfinite_certificate)
 
+from oracles import value_at
+
 
 @pytest.fixture
 def theta_instance():
@@ -47,7 +49,7 @@ def test_build_witness_theta_s1(theta_instance):
     res = build_witness(theta_instance, 1)
     assert res.r == theta_instance.graph.point(0, F(2, 3))
     assert res.order_triple == (-1, -2, 3)
-    assert res.ftilde.value_at(res.r) == F(-2, 3)
+    assert value_at(res.ftilde, res.r) == F(-2, 3)
     assert res.degree == 2
     assert all(res.claims.values())
 
@@ -55,7 +57,7 @@ def test_build_witness_theta_s1(theta_instance):
 def test_build_witness_theta_s2(theta_instance):
     res = build_witness(theta_instance, 2)
     assert res.r == theta_instance.graph.point(0, F(4, 7))
-    assert res.ftilde.value_at(res.r) == F(-12, 7)
+    assert value_at(res.ftilde, res.r) == F(-12, 7)
     assert res.order_triple == (-3, -4, 7)
     assert res.degree == 4
 
@@ -139,7 +141,7 @@ def test_k4_witness_pipeline():
     res = build_witness(inst, 2)
     assert res.r == inst.graph.point(0, F(8, 15))
     assert res.order_triple == (-7, -8, 15)
-    assert res.ftilde.value_at(res.r) == F(-56, 15)
+    assert value_at(res.ftilde, res.r) == F(-56, 15)
     assert res.degree == 4
 
 
