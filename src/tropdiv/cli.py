@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import (BudgetExceeded, CertificateError, HypothesisFailure,
                      InputError, NotMember, TropdivError)
-from .generators import decompose, graded_cone, hilbert_basis, certify_basis, verify_gn
+from .generators import (certify_basis, decompose, elements_below, graded_cone,
+                         hilbert_basis, verify_gn)
 from .graphs import canonical_divisor
 from .linear_systems import RgdElement, extremals, rgd_enumerate, rgd_member
 from .metric import canonical_divisor_metric, linear_equiv_metric
@@ -26,13 +26,6 @@ from .serialize import (divisor_from_json, dumps, element_to_json,
                         pl_function_to_json, point_to_json)
 from .witness import (WitnessInstance, build_witness, check_hypotheses,
                       complete_graph_instance)
-
-
-@dataclass(frozen=True)
-class Config:
-    budget: Budget
-    fmt: str  # "json", or "dot" (trop witness only)
-    output: str | None
 
 
 # budget flag -> (Budget field, help); a subcommand offers only the caps its
@@ -50,12 +43,22 @@ BUDGET_FLAGS = {
 }
 
 
-def _add_common(parser, *flags):
+# the "units" of a `generators` answer: a GeneratorSet lists degrees >= 1 only
+UNITS = "constant functions at degree 0 (tropical units)"
+
+
+def _add_common(parser, run, *flags):
+    parser.set_defaults(run=run)
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
     for flag in flags:
         field, text = BUDGET_FLAGS[flag]
         parser.add_argument(flag, type=int, dest=field,
                             default=getattr(DEFAULT_BUDGET, field), help=text)
+
+
+def _add_graph_divisor(parser, divisor_help=None):
+    parser.add_argument("--graph", required=True)
+    parser.add_argument("--divisor", required=True, help=divisor_help)
 
 
 def build_parser():
@@ -66,38 +69,33 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rgd", help="enumerate R(G, m*D) modulo constants")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", required=True,
-                   help="path to divisor JSON, or 'K' for the canonical divisor")
+    _add_graph_divisor(p, "path to divisor JSON, or 'K' for the canonical divisor")
     p.add_argument("--m", type=int, default=1)
-    _add_common(p)
+    _add_common(p, _run_rgd)
 
     p = sub.add_parser("extremals", help="extremal representatives of R(G, m*D)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", required=True)
+    _add_graph_divisor(p)
     p.add_argument("--m", type=int, default=1)
-    _add_common(p, "--max-vertices")
+    _add_common(p, _run_extremals, "--max-vertices")
 
     p = sub.add_parser("generators", help="Hilbert basis of the graded semi-ring")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", required=True)
+    _add_graph_divisor(p)
     p.add_argument("--certify-bound", type=int, default=0,
                    help="also certify every degree up to this bound")
-    _add_common(p, "--max-degree", "--max-products")
+    _add_common(p, _run_generators, "--max-degree", "--max-products")
 
     p = sub.add_parser("check-generated",
                        help="decompose a target over lower-degree elements")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", required=True)
+    _add_graph_divisor(p)
     p.add_argument("--target", required=True,
                    help="JSON with 'values' and 'degree'")
     p.add_argument("--below-degree", type=int, default=None,
                    help="use generators of degree <= this (default: degree-1)")
-    _add_common(p, "--max-degree", "--max-products")
+    _add_common(p, _run_check_generated, "--max-degree", "--max-products")
 
     p = sub.add_parser("verify-gn", help="unbounded generator degree certificate")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, *BUDGET_FLAGS)
+    _add_common(p, _run_verify_gn, *BUDGET_FLAGS)
 
     trop = sub.add_parser("trop", help="Z-metric graph commands")
     tropsub = trop.add_subparsers(dest="trop_command", required=True)
@@ -106,32 +104,31 @@ def build_parser():
     p.add_argument("--curve", required=True)
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
-    _add_common(p)
+    _add_common(p, _run_trop_equiv)
 
     p = tropsub.add_parser("witness", help="build the non-generation witness")
     p.add_argument("--instance", required=True,
                    help="JSON with 'curve', 'divisor' ('K' allowed), 'edge', 'n'")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json", dest="fmt")
-    _add_common(p, "--max-vertices")
+    _add_common(p, _run_trop_witness, "--max-vertices")
 
     p = tropsub.add_parser("complete-graph",
                            help="instance on the complete graph K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--len", type=int, default=1, dest="edge_len")
     p.add_argument("--s", type=int, nargs="*", default=[])
-    _add_common(p, "--max-vertices")
+    _add_common(p, _run_trop_complete_graph, "--max-vertices")
 
     return parser
 
 
-def _config(args):
+def _budget(args):
     caps = {field: getattr(args, field) for field, _ in BUDGET_FLAGS.values()
             if hasattr(args, field)}
     if any(cap <= 0 for cap in caps.values()):
         raise InputError("budgets must be positive")
-    return Config(budget=Budget(**caps), fmt=getattr(args, "fmt", "json"),
-                  output=args.output)
+    return Budget(**caps)
 
 
 def _load_graph_divisor(args):
@@ -205,155 +202,144 @@ def _hypotheses_payload(report):
     return out
 
 
-def dispatch(args, config):
-    budget = config.budget
-    cmd = args.command
+# One handler per leaf subcommand: (args, budget) -> (exit code, payload).
+# Each reads the library through this module's globals at call time, so a
+# rebinding of those names (as bench/tracing.py does) reaches every command.
 
-    if cmd == "rgd":
-        graph, divisor = _load_graph_divisor(args)
-        elements = rgd_enumerate(graph, args.m * divisor, degree=args.m, budget=budget)
-        return 0, {"command": "rgd", "degree": args.m,
-                   "count": len(elements),
-                   "elements": [element_to_json(el) for el in elements]}
-
-    if cmd == "extremals":
-        graph, divisor = _load_graph_divisor(args)
-        els = extremals(graph, args.m * divisor, degree=args.m, budget=budget)
-        return 0, {"command": "extremals", "degree": args.m,
-                   "count": len(els),
-                   "elements": [element_to_json(el) for el in els]}
-
-    if cmd == "generators":
-        graph, divisor = _load_graph_divisor(args)
-        basis = hilbert_basis(graded_cone(graph, divisor), budget)
-        payload = {"command": "generators",
-                   "degrees": basis.degrees(),
-                   "units": basis.unit_description,
-                   "elements": [element_to_json(el) for el in basis.elements]}
-        if args.certify_bound:
-            report = certify_basis(basis, args.certify_bound, budget)
-            payload["certified"] = {str(m): c for m, c in report.items()}
-        return 0, payload
-
-    if cmd == "check-generated":
-        graph, divisor = _load_graph_divisor(args)
-        data = load_json_file(args.target)
-        target_f = function_from_json(data, graph).normalized()
-        try:
-            degree = int_from_json(data["degree"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("target JSON needs a 'degree'") from exc
-        if not rgd_member(graph, degree * divisor, target_f):
-            raise NotMember(f"target is not in R(G, {degree}D)")
-        below = args.below_degree if args.below_degree is not None else degree - 1
-        gens = []
-        for m in range(1, below + 1):
-            gens.extend(rgd_enumerate(graph, m * divisor, degree=m, budget=budget))
-        cert = decompose(RgdElement(degree, target_f), gens, budget)
-        payload = {"command": "check-generated",
-                   "generated": cert.generated,
-                   "generated_below": cert.generated,
-                   "search_bound": below,
-                   "products_checked": cert.products_checked,
-                   "search": cert.search_description,
-                   "terms": [{"shift": s, "product": list(prod)}
-                             for s, prod in cert.terms]}
-        return (0 if cert.generated else 1), payload
-
-    if cmd == "verify-gn":
-        try:
-            report = verify_gn(args.n, budget)
-        except CertificateError as exc:
-            return 1, {"command": "verify-gn", "n": args.n,
-                       "verified": False, "error": str(exc)}
-        report = dict(report)
-        if "obstruction" in report:
-            report["obstruction"] = {str(k): v
-                                     for k, v in report["obstruction"].items()}
-        report["command"] = "verify-gn"
-        report["verified"] = True
-        return 0, report
-
-    if cmd == "trop":
-        return dispatch_trop(args, config)
-
-    raise InputError(f"unknown command {cmd!r}")
+def _elements_payload(command, degree, elements):
+    return {"command": command, "degree": degree, "count": len(elements),
+            "elements": [element_to_json(el) for el in elements]}
 
 
-def dispatch_trop(args, config):
-    budget = config.budget
-    cmd = args.trop_command
-
-    if cmd == "equiv":
-        curve = metric_graph_from_json(load_json_file(args.curve))
-        d1 = metric_divisor_from_json(load_json_file(args.d1), curve)
-        d2 = metric_divisor_from_json(load_json_file(args.d2), curve)
-        w = linear_equiv_metric(curve, d1, d2)
-        payload = {"command": "trop equiv",
-                   "equivalent": w is not None,
-                   "witness": pl_function_to_json(w) if w is not None else None}
-        return (0 if w is not None else 1), payload
-
-    if cmd == "witness":
-        inst = _load_instance(args.instance)
-        try:
-            result = build_witness(inst, args.s, budget=budget)
-        except HypothesisFailure as exc:
-            return 1, {"command": "trop witness", "verified": False,
-                       "error": str(exc),
-                       "hypotheses": _hypotheses_payload(check_hypotheses(inst))}
-        if config.fmt == "dot":
-            return 0, _witness_dot(inst, result)
-        payload = _witness_payload(result)
-        payload["command"] = "trop witness"
-        return 0, payload
-
-    if cmd == "complete-graph":
-        inst = complete_graph_instance(args.n, args.edge_len)
-        hypo = check_hypotheses(inst)
-        payload = {"command": "trop complete-graph",
-                   "n": args.n,
-                   "edge_length": args.edge_len,
-                   "n_param": inst.n,
-                   "genus": inst.genus,
-                   "canonical_degree": inst.d,
-                   "divisor": metric_divisor_to_json(inst.divisor),
-                   "hypotheses": _hypotheses_payload(hypo)}
-        certificates = [_witness_payload(build_witness(inst, s, budget=budget))
-                        for s in args.s]
-        if certificates:
-            payload["certificates"] = certificates
-        return (0 if hypo["all_pass"] else 1), payload
-
-    raise InputError(f"unknown trop command {cmd!r}")
+def _run_rgd(args, budget):
+    graph, divisor = _load_graph_divisor(args)
+    return 0, _elements_payload("rgd", args.m, rgd_enumerate(
+        graph, args.m * divisor, degree=args.m, budget=budget))
 
 
-def _emit(payload, config):
+def _run_extremals(args, budget):
+    graph, divisor = _load_graph_divisor(args)
+    return 0, _elements_payload("extremals", args.m, extremals(
+        graph, args.m * divisor, degree=args.m, budget=budget))
+
+
+def _run_generators(args, budget):
+    graph, divisor = _load_graph_divisor(args)
+    basis = hilbert_basis(graded_cone(graph, divisor), budget)
+    payload = {"command": "generators",
+               "degrees": basis.degrees(),
+               "units": UNITS,
+               "elements": [element_to_json(el) for el in basis.elements]}
+    if args.certify_bound:
+        report = certify_basis(basis, args.certify_bound, budget)
+        payload["certified"] = {str(m): c for m, c in report.items()}
+    return 0, payload
+
+
+def _run_check_generated(args, budget):
+    graph, divisor = _load_graph_divisor(args)
+    data = load_json_file(args.target)
+    target_f = function_from_json(data, graph).normalized()
+    try:
+        degree = int_from_json(data["degree"])
+    except (KeyError, TypeError) as exc:
+        raise InputError("target JSON needs a 'degree'") from exc
+    if not rgd_member(graph, degree * divisor, target_f):
+        raise NotMember(f"target is not in R(G, {degree}D)")
+    below = args.below_degree if args.below_degree is not None else degree - 1
+    gens = elements_below(graph, divisor, below, budget)
+    cert = decompose(RgdElement(degree, target_f), gens, budget)
+    payload = {"command": "check-generated",
+               "generated": cert.generated,
+               "generated_below": cert.generated,
+               "search_bound": below,
+               "products_checked": cert.products_checked,
+               "search": cert.search_description,
+               "terms": [{"shift": s, "product": list(prod)}
+                         for s, prod in cert.terms]}
+    return (0 if cert.generated else 1), payload
+
+
+def _run_verify_gn(args, budget):
+    try:
+        report = verify_gn(args.n, budget)
+    except CertificateError as exc:
+        return 1, {"command": "verify-gn", "n": args.n,
+                   "verified": False, "error": str(exc)}
+    report = dict(report)
+    if "obstruction" in report:
+        report["obstruction"] = {str(k): v for k, v in report["obstruction"].items()}
+    report["command"] = "verify-gn"
+    report["verified"] = True
+    return 0, report
+
+
+def _run_trop_equiv(args, budget):
+    curve = metric_graph_from_json(load_json_file(args.curve))
+    d1 = metric_divisor_from_json(load_json_file(args.d1), curve)
+    d2 = metric_divisor_from_json(load_json_file(args.d2), curve)
+    w = linear_equiv_metric(curve, d1, d2)
+    payload = {"command": "trop equiv",
+               "equivalent": w is not None,
+               "witness": pl_function_to_json(w) if w is not None else None}
+    return (0 if w is not None else 1), payload
+
+
+def _run_trop_witness(args, budget):
+    inst = _load_instance(args.instance)
+    try:
+        result = build_witness(inst, args.s, budget=budget)
+    except HypothesisFailure as exc:
+        return 1, {"command": "trop witness", "verified": False,
+                   "error": str(exc),
+                   "hypotheses": _hypotheses_payload(check_hypotheses(inst))}
+    if args.fmt == "dot":
+        return 0, _witness_dot(inst, result)
+    payload = _witness_payload(result)
+    payload["command"] = "trop witness"
+    return 0, payload
+
+
+def _run_trop_complete_graph(args, budget):
+    inst = complete_graph_instance(args.n, args.edge_len)
+    hypo = check_hypotheses(inst)
+    payload = {"command": "trop complete-graph",
+               "n": args.n,
+               "edge_length": args.edge_len,
+               "n_param": inst.n,
+               "genus": inst.genus,
+               "canonical_degree": inst.d,
+               "divisor": metric_divisor_to_json(inst.divisor),
+               "hypotheses": _hypotheses_payload(hypo)}
+    certificates = [_witness_payload(build_witness(inst, s, budget=budget))
+                    for s in args.s]
+    if certificates:
+        payload["certificates"] = certificates
+    return (0 if hypo["all_pass"] else 1), payload
+
+
+def _emit(payload, output):
     text = payload if isinstance(payload, str) else dumps(payload) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config(args)
-        code, payload = dispatch(args, config)
+        code, payload = args.run(args, _budget(args))
     except BudgetExceeded as exc:
-        _emit({"error": "budget exceeded", "detail": str(exc)},
-              Config(Budget(), "json", getattr(args, "output", None)))
-        return 3
+        code, payload = 3, {"error": "budget exceeded", "detail": str(exc)}
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TropdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, config)
+    _emit(payload, args.output)
     return code
 
 

@@ -159,7 +159,6 @@ class GeneratorSet:
     graph: FiniteGraph
     divisor: Divisor
     elements: tuple[RgdElement, ...]
-    unit_description: str = "constant functions at degree 0 (tropical units)"
 
     def degrees(self):
         return sorted({el.degree for el in self.elements})
@@ -389,6 +388,14 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     return cert
 
 
+def elements_below(graph, divisor, top, budget=DEFAULT_BUDGET):
+    """Every element of R(G, m*D) for m = 1..top, degree by degree."""
+    elements = []
+    for m in range(1, top + 1):
+        elements.extend(rgd_enumerate(graph, m * divisor, degree=m, budget=budget))
+    return elements
+
+
 def min_generator_degrees(graph, divisor, m_max, budget=DEFAULT_BUDGET):
     """Degrees m <= m_max carrying an element no lower-degree products reach."""
     budget.check_degree(m_max)
@@ -472,9 +479,7 @@ def verify_gn(n, budget=DEFAULT_BUDGET):
     if not extremal:
         raise CertificateError("witness is not extremal")
 
-    gens = []
-    for m in range(1, n):
-        gens.extend(rgd_enumerate(graph, m * k_div, degree=m, budget=budget))
+    gens = elements_below(graph, k_div, n - 1, budget)
     cert = decompose(RgdElement(n, witness.normalized()), gens, budget)
     if cert.generated:
         raise CertificateError("witness unexpectedly generated below degree n")
@@ -485,9 +490,9 @@ def verify_gn(n, budget=DEFAULT_BUDGET):
         "n": n,
         "vacuous": False,
         "witness": list(witness.values),
-        "witness_found": True,
-        "extremal": True,
-        "generated_below": False,
+        "witness_found": witness is not None,
+        "extremal": extremal,
+        "generated_below": cert.generated,
         "search_bound": n - 1,
         "products_checked": cert.products_checked,
         "generators_below": len(gens),

@@ -356,6 +356,25 @@ def test_budget_flags_fill_ten_slots_over_every_subcommand():
     assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 10
 
 
+
+def test_every_leaf_registers_its_own_handler():
+    # argparse routes each subcommand once, straight to the handler its
+    # subparser registered
+    leaves = dict(_leaf_parsers())
+    handlers = {path: parser.get_default("run") for path, parser in leaves.items()}
+    assert all(callable(run) for run in handlers.values()), handlers
+    assert len(set(handlers.values())) == len(leaves)
+
+
+@pytest.mark.parametrize("argv", [[], ["trop"]], ids=["top", "trop"])
+def test_a_missing_subcommand_exits_2_in_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required" in captured.err
+
 def test_trop_complete_graph_command(tmp_path):
     data = json.loads(run_cli(tmp_path, ["trop", "complete-graph", "--n", "4",
                                          "--s", "2"]))
@@ -440,6 +459,16 @@ def test_budget_exit_code(tmp_path, theta_file):
     data = json.loads((tmp_path / "out.json").read_text())
     assert data["error"] == "budget exceeded"
 
+
+
+def test_budget_exit_writes_its_json_to_stdout_without_output(theta_file, capsys):
+    code = main(["generators", "--graph", theta_file, "--divisor", "K",
+                 "--certify-bound", "20", "--max-degree", "10"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ('{\n  "detail": "degree 20 exceeds budget 10",\n'
+                            '  "error": "budget exceeded"\n}\n')
+    assert captured.err == ""
 
 def test_verify_gn_5_exceeds_the_candidate_budget(tmp_path):
     code = main(["verify-gn", "--n", "5", "--output", str(tmp_path / "out.json")])
