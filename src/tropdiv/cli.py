@@ -180,6 +180,7 @@ def _witness_dot(inst, result):
             extra = ' color="red" xlabel="p"'
         elif x == inst.q:
             extra = ' color="red" xlabel="q"'
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {x} [label="{label}"{extra}];')
     lines.append(f'  r [label="r@{frac_to_json(result.r.offset)}" color="blue"];')
     for e, (u, v) in enumerate(g.model.edges):
@@ -246,8 +247,10 @@ def _run_check_generated(args, budget):
         raise InputError("target JSON needs a 'degree'") from exc
     if not rgd_member(graph, degree * divisor, target_f):
         raise NotMember(f"target is not in R(G, {degree}D)")
+    budget.check_degree(degree)
     below = args.below_degree if args.below_degree is not None else degree - 1
-    gens = elements_below(graph, divisor, below, budget)
+    # decompose drops every element above the target's degree
+    gens = elements_below(graph, divisor, min(below, degree), budget)
     cert = decompose(RgdElement(degree, target_f), gens, budget)
     payload = {"command": "check-generated",
                "generated": cert.generated,

@@ -484,7 +484,7 @@ def verify_gn(n, budget=DEFAULT_BUDGET):
     if cert.generated:
         raise CertificateError("witness unexpectedly generated below degree n")
 
-    obstruction = _gn_obstruction_cross_check(graph, roles, k_div, n, budget)
+    obstruction = _gn_obstruction_cross_check(graph, roles, k_div, n)
 
     return {
         "n": n,
@@ -500,7 +500,7 @@ def verify_gn(n, budget=DEFAULT_BUDGET):
     }
 
 
-def _gn_obstruction_cross_check(graph, roles, k_div, n, budget):
+def _gn_obstruction_cross_check(graph, roles, k_div, n):
     """Per-degree solvability of k*K ~ 2k[r], with the integrality identity.
 
     Any h with k*K + div(h) = 2k[r] has constant slope along the two chains

@@ -16,6 +16,7 @@ every construction here lives on compact graphs.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -23,7 +24,7 @@ from math import lcm
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, EmptySubgraph, InputError, InvalidPL,
                      NotMember, SizeMismatch)
-from .graphs import Divisor, FiniteGraph, build_graph
+from .graphs import Divisor, FiniteGraph, build_graph, canonical_divisor
 from .graphs import linear_equiv as graph_linear_equiv
 from .linear_systems import firing_subsets
 
@@ -191,12 +192,8 @@ class MetricDivisor:
 
 def canonical_divisor_metric(graph):
     """(val(x) - 2)[x] over model vertices; 2-valent vertices drop out."""
-    entries = {}
-    for x in range(graph.model.vertex_count):
-        c = graph.model.valence(x) - 2
-        if c != 0:
-            entries[Point.vertex(x)] = c
-    return MetricDivisor.of(graph, entries)
+    return MetricDivisor(graph, tuple(
+        (Point.vertex(x), c) for x, c in enumerate(canonical_divisor(graph.model).coeffs)))
 
 
 class PLFunction:
@@ -217,25 +214,23 @@ class PLFunction:
             raise InvalidPL("one breakpoint list per edge required")
         norm, runs = [], []
         for e, bps in enumerate(segs):
-            bps = [(_frac(o), _frac(v)) for o, v in bps]
-            bps.sort()
+            bps = sorted((_frac(o), _frac(v)) for o, v in bps)
             if not bps or bps[0][0] != 0 or bps[-1][0] != graph.lengths[e]:
                 raise InvalidPL(f"edge {e}: breakpoints must span [0, length]")
-            offs = [o for o, _ in bps]
-            if len(set(offs)) != len(offs):
+            if len({o for o, _ in bps}) != len(bps):
                 raise InvalidPL(f"edge {e}: duplicate breakpoint offsets")
-            slopes = []
+            # one pass: a piece of the current slope moves the last kept
+            # breakpoint on, any other slope starts a new piece
+            keep, run = [bps[0]], []
             for (o1, v1), (o2, v2) in zip(bps, bps[1:]):
                 s = (v2 - v1) / (o2 - o1)
                 if s.denominator != 1:
                     raise InvalidPL(f"edge {e}: non-integer slope {s}")
-                slopes.append(int(s))
-            keep, run = [bps[0]], [slopes[0]]
-            for i in range(1, len(bps) - 1):
-                if slopes[i - 1] != slopes[i]:
-                    keep.append(bps[i])
-                    run.append(slopes[i])
-            keep.append(bps[-1])
+                if run and run[-1] == s:
+                    keep[-1] = (o2, v2)
+                else:
+                    keep.append((o2, v2))
+                    run.append(int(s))
             norm.append(tuple(keep))
             runs.append(tuple(run))
         self.segs = tuple(norm)
@@ -253,9 +248,7 @@ class PLFunction:
 
     @staticmethod
     def constant(graph, c):
-        c = _frac(c)
-        return PLFunction(graph, [[(0, c), (graph.lengths[e], c)]
-                                  for e in range(graph.model.edge_count)])
+        return PLFunction.from_vertex_values(graph, [c] * graph.model.vertex_count)
 
     @staticmethod
     def from_vertex_values(graph, vertex_values, interior=None):
@@ -288,10 +281,13 @@ class PLFunction:
 
     # -- tropical algebra -------------------------------------------------------
 
+    def _map(self, fn):
+        return PLFunction(self.graph, [[(o, fn(v)) for o, v in bps]
+                                       for bps in self.segs])
+
     def shift(self, c):
         c = _frac(c)
-        return PLFunction(self.graph, [[(o, v + c) for o, v in bps]
-                                       for bps in self.segs])
+        return self._map(lambda v: v + c)
 
     def normalized(self):
         return self.shift(-self.min_value())
@@ -299,35 +295,27 @@ class PLFunction:
     def power(self, k):
         """Tropical k-th power: values scaled by the integer k."""
         k = int(k)
-        return PLFunction(self.graph, [[(o, k * v) for o, v in bps]
-                                       for bps in self.segs])
+        return self._map(lambda v: k * v)
 
     def odot(self, other):
-        self._match(other)
-        segs = []
-        for e in range(self.graph.model.edge_count):
-            offs = sorted({o for o, _ in self.segs[e]} | {o for o, _ in other.segs[e]})
-            segs.append([(o, self._eval_edge(e, o) + other._eval_edge(e, o))
-                         for o in offs])
-        return PLFunction(self.graph, segs)
+        return self._merge(other, operator.add)
 
     def oplus(self, other):
+        return self._merge(other, max)
+
+    def _merge(self, other, op):
+        """op of the two functions at the union of their breakpoints and where
+        self - other changes sign inside a common piece, so op = max or + is
+        linear in between; crossings that + does not need merge away."""
         self._match(other)
         segs = []
         for e in range(self.graph.model.edge_count):
             offs = sorted({o for o, _ in self.segs[e]} | {o for o, _ in other.segs[e]})
-            # insert crossings of the two graphs inside each common piece
-            extra = []
-            for o1, o2 in zip(offs, offs[1:]):
-                a1, a2 = self._eval_edge(e, o1), self._eval_edge(e, o2)
-                b1, b2 = other._eval_edge(e, o1), other._eval_edge(e, o2)
-                d1, d2 = a1 - b1, a2 - b2
-                if d1 * d2 < 0:
-                    t = o1 + (o2 - o1) * d1 / (d1 - d2)
-                    extra.append(t)
-            alloffs = sorted(set(offs) | set(extra))
-            segs.append([(o, max(self._eval_edge(e, o), other._eval_edge(e, o)))
-                         for o in alloffs])
+            gaps = [(o, self._eval_edge(e, o) - other._eval_edge(e, o)) for o in offs]
+            offs += [o1 + (o2 - o1) * d1 / (d1 - d2)
+                     for (o1, d1), (o2, d2) in zip(gaps, gaps[1:]) if d1 * d2 < 0]
+            segs.append([(o, op(self._eval_edge(e, o), other._eval_edge(e, o)))
+                         for o in offs])
         return PLFunction(self.graph, segs)
 
     def _eval_edge(self, e, o):

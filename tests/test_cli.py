@@ -238,6 +238,17 @@ def test_trop_witness_dot(tmp_path, instance_file):
     assert text == THETA_WITNESS_DOT
 
 
+def test_trop_witness_dot_escapes_labels(tmp_path):
+    # DOT strings end at an unescaped quote and escape with a backslash
+    instance = tmp_path / "instance.json"
+    curve = {**THETA_CURVE, "model": {**THETA, "labels": ['p"x', "q\\"]}}
+    instance.write_text(dumps({**THETA_INSTANCE, "curve": curve}))
+    lines = run_cli(tmp_path, ["trop", "witness", "--instance", str(instance),
+                               "--s", "1", "--format", "dot"]).splitlines()
+    assert lines[1:3] == ['  0 [label="p\\"x" color="red" xlabel="p"];',
+                          '  1 [label="q\\\\" color="red" xlabel="q"];']
+
+
 def test_format_is_offered_only_by_trop_witness(tmp_path, theta_file, instance_file):
     for argv in (["rgd", "--graph", theta_file, "--divisor", "K", "--format", "text"],
                  ["rgd", "--graph", theta_file, "--divisor", "K", "--format", "json"],
@@ -449,7 +460,22 @@ def test_malformed_json_is_an_input_error(tmp_path, theta_file, capsys, case):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_budget_exit_code(tmp_path, theta_file):
+@pytest.fixture
+def rgd_calls(monkeypatch):
+    """Degrees the generators module enumerates while the test runs."""
+    calls = []
+    original = tropdiv.generators.rgd_enumerate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("degree"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tropdiv.generators, "rgd_enumerate", counted)
+    return calls
+
+
+def test_budget_exit_code(tmp_path, theta_file, rgd_calls):
+    # the target's degree is checked before any lower degree is listed
     target = tmp_path / "target.json"
     target.write_text(dumps({"degree": 99, "values": [0, 1]}))
     code = main(["check-generated", "--graph", theta_file, "--divisor", "K",
@@ -457,7 +483,22 @@ def test_budget_exit_code(tmp_path, theta_file):
                  "--output", str(tmp_path / "out.json")])
     assert code == 3
     data = json.loads((tmp_path / "out.json").read_text())
-    assert data["error"] == "budget exceeded"
+    assert data == {"detail": "degree 99 exceeds budget 10", "error": "budget exceeded"}
+    assert rgd_calls == []
+
+
+def test_check_generated_lists_no_degree_above_the_target(tmp_path, rgd_calls):
+    graph = tmp_path / "k4.json"
+    graph.write_text(dumps({"vertices": 4,
+                            "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]}))
+    target = tmp_path / "target.json"
+    target.write_text(dumps({"degree": 1, "values": [0, 0, 0, 0]}))
+    data = json.loads(run_cli(tmp_path, ["check-generated", "--graph", str(graph),
+                                         "--divisor", "K", "--target", str(target),
+                                         "--below-degree", "30"]))
+    assert data["generated"] is True
+    assert data["search_bound"] == 30
+    assert rgd_calls == [1]
 
 
 

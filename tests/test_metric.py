@@ -198,12 +198,28 @@ def test_oplus_odot_algebra(mtheta):
 
 
 def test_product_divisor_rule(mtheta):
+    # odot and oplus share one merge, shift and power one value map: check
+    # each pointwise at every breakpoint of either input and at the midpoint
+    # of every piece of the result, and that every result is canonical
     rng = random.Random(11)
     for _ in range(50):
         g1 = grid_function(rng, mtheta, 2, 3)
         g2 = grid_function(rng, mtheta, 2, 3)
-        assert g1.odot(g2).div() == g1.div() + g2.div()
-        assert g1.oplus(g2).div().degree() == 0
+        k, c = rng.randint(0, 3), F(rng.randint(-3, 3), 2)
+        product, tsum = g1.odot(g2), g1.oplus(g2)
+        assert product.div() == g1.div() + g2.div()
+        assert tsum.div().degree() == 0
+        for h, rule in ((product, lambda a, b: a + b), (tsum, max),
+                        (g1.power(k), lambda a, _: k * a),
+                        (g1.shift(c), lambda a, _: a + c)):
+            assert all(s1 != s2 for slopes in h._slopes
+                       for s1, s2 in zip(slopes, slopes[1:]))
+            for e, bps in enumerate(h.segs):
+                offs = {o for f in (g1, g2) for o, _ in f.segs[e]}
+                offs |= {(o1 + o2) / 2 for (o1, _), (o2, _) in zip(bps, bps[1:])}
+                for o in offs:
+                    p = mtheta.point(e, o)
+                    assert value_at(h, p) == rule(value_at(g1, p), value_at(g2, p))
 
 
 def test_refine_theta_three(mtheta):
