@@ -13,11 +13,10 @@ from .errors import BudgetExceeded, DegreeOverflow
 
 @dataclass(frozen=True)
 class Budget:
-    # support points + zero-chip components: the exhaustive firing-subset
-    # search is exponential in their sum, not in the vertex count; is_extremal
-    # runs it only to replay an extremal answer, so a non-extremal one (decided
-    # by burning in polynomial time) never meets this cap; metric_firing_subgraphs
-    # (trop witness, trop complete-graph) runs it on the subdivided support model
+    # firing parts (each charged vertex, each zero-chip component): the
+    # exhaustive firing-subset search walks 2^parts unions; is_extremal runs
+    # it only to replay an extremal answer, metric_firing_subgraphs on the
+    # subdivided support model
     max_firing_vertices: int = 24
     # effective divisors enumerated per linear system
     max_lattice_candidates: int = 2_000_000

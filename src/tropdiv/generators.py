@@ -333,8 +333,8 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     m = target.degree
     budget.check_degree(m)
     if m == 0:
-        return GenerationCertificate(target, True, ((0, ()),), 0,
-                                     "degree 0: constants are units")
+        return _replayed(GenerationCertificate(target, True, ((0, ()),), 0,
+                                               "degree 0: constants are units"), [])
     usable = [el for el in elements if 0 < el.degree <= m]
     degrees = [el.degree for el in usable]
     n_products = _count_products(degrees, m)
@@ -382,8 +382,13 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
             raise CertificateError(
                 f"the product walk checked {checked} of {n_products} products")
         return GenerationCertificate(target, False, (), checked, bound)
-    cert = GenerationCertificate(target, True, tuple(terms), checked, bound)
-    if cert.evaluate(usable).values != target.function.values:
+    return _replayed(GenerationCertificate(target, True, tuple(terms), checked, bound), usable)
+
+
+def _replayed(cert, gens):
+    """The generated certificate, once its tropical sum re-evaluates over
+    gens exactly to its target."""
+    if cert.evaluate(gens).values != cert.target.function.values:
         raise CertificateError("generation certificate does not replay")
     return cert
 

@@ -174,12 +174,6 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     return tuple(sorted(out, key=lambda el: el.function.values))
 
 
-def chip_firing_function(graph, subset):
-    """Indicator drop: 0 on the subset, -1 outside."""
-    return RationalFunction(tuple(0 if x in subset else -1
-                                  for x in range(graph.vertex_count)))
-
-
 def can_fire(graph, divisor, subset):
     """Whether the subset fires on the divisor: result stays effective."""
     s = frozenset(subset)
@@ -187,92 +181,72 @@ def can_fire(graph, divisor, subset):
         raise EmptyOrFullSubset("firing subset must be proper and nonempty")
     if not all(0 <= x < graph.vertex_count for x in s):
         raise InputError("subset contains out-of-range vertices")
-    cf = chip_firing_function(graph, s)
+    # the indicator drop: 0 on the subset, -1 outside
+    cf = RationalFunction(tuple(0 if x in s else -1 for x in range(graph.vertex_count)))
     return (divisor + ord_and_div(graph, cf)).is_effective()
+
+
+def _firing_parts(graph, coeffs):
+    """Yield the parts of V in order of their least vertex, that vertex
+    first: a vertex holding chips is a part on its own, and a zero-chip
+    component is one part."""
+    nbrs = graph.neighbors
+    done = bytearray(graph.vertex_count)
+    for x in range(graph.vertex_count):
+        if done[x]:
+            continue
+        done[x] = 1
+        part = [x]
+        if not coeffs[x]:
+            for y in part:
+                for z in nbrs[y]:
+                    if not coeffs[z] and not done[z]:
+                        done[z] = 1
+                        part.append(z)
+        yield part
 
 
 def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
     """All proper nonempty subsets that fire on an effective divisor.
 
-    A vertex carrying zero chips can only fire if none of its edges leave the
-    subset, so the subset restricted to zero-chip vertices is a union of
-    connected components of the zero region, and each chosen component drags
-    its positively-charged neighbours in.  That cuts the search from 2^|V| to
-    2^(supp) * 2^(components), and supp + components is capped by
-    budget.max_firing_vertices.
+    A subset fires exactly when each of its vertices holds at least as many
+    chips as it has neighbours (with multiplicity) outside it.  A zero-chip
+    vertex then fires only with all its neighbours, so a firing subset is a
+    union of parts (_firing_parts), and the search walks the 2^parts unions
+    through that one chip test; budget.max_firing_vertices caps the parts.
     """
-    n = graph.vertex_count
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
-
-    # firing a subset keeps its vertex x effective exactly when x holds at
-    # least as many chips as it has neighbours (with multiplicity) outside it
-    nbrs = graph.neighbors
-    positive = [x for x in range(n) if divisor.coeffs[x] > 0]
-    zero = frozenset(x for x in range(n) if divisor.coeffs[x] == 0)
-
-    # connected components of the zero region, with their positive neighbours
-    comp_list = []
-    comp_pos_nbrs = []
-    seen = set()
-    for x in zero:
-        if x in seen:
-            continue
-        comp, stack = {x}, [x]
-        while stack:
-            for y in nbrs[stack.pop()]:
-                if y in zero and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comp_list.append(frozenset(comp))
-        comp_pos_nbrs.append(frozenset(y for c in comp for y in nbrs[c] if y not in zero))
-
-    budget.check_count(len(positive) + len(comp_list), budget.max_firing_vertices,
-                       "firing search parts")
-
+    if len(divisor.coeffs) != graph.vertex_count:
+        raise SizeMismatch("divisor sized to a different graph")
+    coeffs, nbrs = divisor.coeffs, graph.neighbors
+    parts = [frozenset(p) for p in _firing_parts(graph, coeffs)]
+    budget.check_count(len(parts), budget.max_firing_vertices, "firing search parts")
     out = []
-    for srange in range(1 << len(positive)):
-        s = frozenset(positive[i] for i in range(len(positive)) if srange >> i & 1)
-        eligible = [i for i, c in enumerate(comp_list) if comp_pos_nbrs[i] <= s]
-        for trange in range(1 << len(eligible)):
-            vset = set(s)
-            for j in range(len(eligible)):
-                if trange >> j & 1:
-                    vset |= comp_list[eligible[j]]
-            if not vset or len(vset) >= n:
-                continue
-            if all(divisor.coeffs[x] >= sum(y not in vset for y in nbrs[x]) for x in s):
-                out.append(frozenset(vset))
+    # the parts partition V, so only mask 0 is empty and only the full mask is V
+    for mask in range(1, (1 << len(parts)) - 1):
+        s = frozenset().union(*(p for i, p in enumerate(parts) if mask >> i & 1))
+        if all(coeffs[x] >= sum(y not in s for y in nbrs[x]) for x in s):
+            out.append(s)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def _largest_firing_sets(graph, coeffs):
-    """Yield W_x for one vertex x per part, each as a bitmask: the largest
-    subset avoiding x that fires on the effective divisor coeffs.
+    """Yield W_x for the first vertex x of each part, as a bitmask: the
+    largest subset avoiding x that fires on the effective divisor coeffs.
 
     Firing subsets are closed under union, so W_x exists, and Dhar's burning
     finds it: fire starts at x and crosses every edge; a vertex burns once
     more burnt edges reach it than it has chips, and the unburnt vertices
     are W_x.  A firing subset avoiding x never burns: its first vertex to
     burn would hold fewer chips than its edges leaving the subset.  A
-    zero-chip start burns its whole zero-chip component, so one burn per
-    component stands for all of it; positive vertices burn one by one.
+    zero-chip start burns its whole part, so one burn per part stands for
+    all of it.
     """
     n = graph.vertex_count
     nbrs = graph.neighbors
-    done = bytearray(n)
-    for x in range(n):
-        if done[x]:
-            continue
-        if not coeffs[x]:
-            stack = [x]
-            done[x] = 1
-            while stack:
-                for y in nbrs[stack.pop()]:
-                    if not coeffs[y] and not done[y]:
-                        done[y] = 1
-                        stack.append(y)
+    for part in _firing_parts(graph, coeffs):
+        x = part[0]
         hits = [0] * n
         unburnt = ((1 << n) - 1) ^ (1 << x)
         stack = [x]

@@ -427,7 +427,8 @@ class Refinement:
         segs = [[(Fraction(0), values[u])] for u, _ in self.base.model.edges]
         for e, _, b, _, j in self._segments:
             segs[e].append((b, values[j]))
-        f = PLFunction(self.base, segs).normalized()
+        # g is min-0 and every grid value is a breakpoint, so f is min-0 too
+        f = PLFunction(self.base, segs)
         if f.div() != d1 - d2:
             raise CertificateError("refined witness does not replay D1 - D2")
         return f
@@ -471,8 +472,13 @@ class MetricSubgraph:
             per_edge.setdefault(e, []).extend(
                 (_frac(a), _frac(b)) for a, b in ivs)
         verts = set(self.vertices)
+        for x in verts:
+            if not 0 <= x < self.graph.model.vertex_count:
+                raise InputError(f"vertex {x} out of range")
         norm = {}
         for e, ivs in per_edge.items():
+            if not 0 <= e < self.graph.model.edge_count:
+                raise InputError(f"edge {e} out of range")
             length = self.graph.lengths[e]
             u, v = self.graph.model.edges[e]
             for a, b in ivs:

@@ -244,6 +244,14 @@ def test_decompose_degree_budget(theta):
         decompose(target, gs, Budget(max_degree=10))
 
 
+def test_decompose_replays_its_degree_zero_answer(theta):
+    const = decompose(RgdElement(0, RationalFunction((0, 0))), [])
+    assert const.generated and const.terms == ((0, ()),) and const.products_checked == 0
+    # (0, 1) lies outside R(theta, 0), and the constant certificate evaluates to (0, 0)
+    with pytest.raises(CertificateError, match="does not replay"):
+        decompose(RgdElement(0, RationalFunction((0, 1))), [])
+
+
 def test_decompose_shift_invariance(theta):
     d = canonical_divisor(theta)
     gens = list(rgd_enumerate(theta, d, degree=1))

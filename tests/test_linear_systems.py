@@ -5,7 +5,8 @@ import pytest
 import tropdiv.linear_systems
 
 from tropdiv.budget import Budget
-from tropdiv.errors import BudgetExceeded, CertificateError, EmptyOrFullSubset, NotMember
+from tropdiv.errors import (BudgetExceeded, CertificateError, EmptyOrFullSubset, NotMember,
+                            SizeMismatch)
 from tropdiv.generators import build_gn
 from tropdiv.graphs import Divisor, RationalFunction, build_graph, canonical_divisor, ord_and_div
 from tropdiv.linear_systems import (
@@ -158,6 +159,12 @@ def test_firing_subsets_match_bruteforce(rng):
             continue
         e = Divisor(tuple(rng.randint(0, 3) for _ in range(g.vertex_count)))
         assert firing_subsets(g, e) == all_firing_subsets(g, e)
+
+
+def test_firing_subsets_rejects_a_divisor_sized_to_another_graph(theta):
+    for coeffs in ((3, 0, 5), (3,)):
+        with pytest.raises(SizeMismatch):
+            firing_subsets(theta, Divisor(coeffs))
 
 
 def test_is_extremal_theta_constant(theta):
@@ -353,15 +360,27 @@ def test_no_cover_replay_rejects_a_wrong_family(theta, monkeypatch):
 def test_only_extremal_answers_run_the_exhaustive_family(monkeypatch):
     g = build_gn(4)[0]
     calls = []
+    masks = []
     original = tropdiv.linear_systems.firing_subsets
+    burn = tropdiv.linear_systems._largest_firing_sets
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    def counted_burn(*args):
+        for mask in burn(*args):
+            masks.append(mask)
+            yield mask
 
     monkeypatch.setattr(tropdiv.linear_systems, "firing_subsets", counted)
+    monkeypatch.setattr(tropdiv.linear_systems, "_largest_firing_sets", counted_burn)
     assert len(extremals(g, 3 * canonical_divisor(g), degree=3)) == 23
+    # the firing work as deterministic counts: 23 exhaustive families
+    # listing 125 subsets, and 3,811 burns over the 1,320 members
     assert len(calls) == 23
+    assert sum(map(len, calls)) == 125
+    assert len(masks) == 3811
 
 
 def test_corank_check_survives_optimized_mode():

@@ -461,6 +461,14 @@ def test_divisor_points_must_lie_on_the_graph(mtheta):
     assert MetricDivisor.of(mtheta, {Point.interior(0, F(1, 3)): 1}).degree() == 1
 
 
+def test_subgraph_indices_must_lie_on_the_graph(mtheta):
+    for edge in (-1, 5):
+        with pytest.raises(InputError, match=f"edge {edge} out of range"):
+            MetricSubgraph.build(mtheta, intervals={edge: [(F(0), F(1, 2))]})
+    with pytest.raises(InputError, match="vertex 7 out of range"):
+        MetricSubgraph.build(mtheta, vertices=[7])
+
+
 def test_is_extremal_metric_witness(mtheta):
     k = canonical_divisor_metric(mtheta)
     r = mtheta.point(0, F(2, 3))
