@@ -18,14 +18,13 @@ from .generators import (certify_basis, decompose, elements_below, graded_cone,
                          hilbert_basis, verify_gn)
 from .graphs import canonical_divisor
 from .linear_systems import RgdElement, extremals, rgd_enumerate, rgd_member
-from .metric import canonical_divisor_metric, linear_equiv_metric
-from .serialize import (divisor_from_json, dumps, element_to_json,
-                        frac_to_json, function_from_json, graph_from_json,
-                        int_from_json, load_json_file, metric_divisor_from_json,
-                        metric_divisor_to_json, metric_graph_from_json,
-                        pl_function_to_json, point_to_json)
-from .witness import (WitnessInstance, build_witness, check_hypotheses,
-                      complete_graph_instance)
+from .metric import linear_equiv_metric
+from .serialize import (divisor_from_json, dumps, element_to_json, frac_to_json,
+                        graph_from_json, instance_from_json, load_json_file,
+                        metric_divisor_from_json, metric_divisor_to_json,
+                        metric_graph_from_json, pl_function_to_json, point_to_json,
+                        target_from_json)
+from .witness import build_witness, check_hypotheses, complete_graph_instance
 
 
 # budget flag -> (Budget field, help); a subcommand offers only the caps its
@@ -140,20 +139,6 @@ def _load_graph_divisor(args):
     return graph, divisor
 
 
-def _load_instance(path):
-    data = load_json_file(path)
-    try:
-        curve = metric_graph_from_json(data["curve"])
-        if data["divisor"] == "K":
-            divisor = canonical_divisor_metric(curve)
-        else:
-            divisor = metric_divisor_from_json(data["divisor"], curve)
-        return WitnessInstance(curve, divisor, edge=int_from_json(data["edge"]),
-                               n=int_from_json(data["n"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad instance JSON: {exc}") from exc
-
-
 def _witness_payload(result):
     return {
         "s": result.s,
@@ -238,13 +223,11 @@ def _run_generators(args, budget):
 
 
 def _run_check_generated(args, budget):
+    if args.below_degree is not None and args.below_degree < 0:
+        raise InputError(f"below degree {args.below_degree} is negative")
     graph, divisor = _load_graph_divisor(args)
-    data = load_json_file(args.target)
-    target_f = function_from_json(data, graph).normalized()
-    try:
-        degree = int_from_json(data["degree"])
-    except (KeyError, TypeError) as exc:
-        raise InputError("target JSON needs a 'degree'") from exc
+    degree, function = target_from_json(load_json_file(args.target), graph)
+    target_f = function.normalized()
     if not rgd_member(graph, degree * divisor, target_f):
         raise NotMember(f"target is not in R(G, {degree}D)")
     budget.check_degree(degree)
@@ -289,7 +272,7 @@ def _run_trop_equiv(args, budget):
 
 
 def _run_trop_witness(args, budget):
-    inst = _load_instance(args.instance)
+    inst = instance_from_json(load_json_file(args.instance))
     try:
         result = build_witness(inst, args.s, budget=budget)
     except HypothesisFailure as exc:

@@ -331,6 +331,8 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     """
     elements = _gen_elements(gens)
     m = target.degree
+    if m < 0:
+        raise InputError(f"target degree {m} is negative")
     budget.check_degree(m)
     if m == 0:
         return _replayed(GenerationCertificate(target, True, ((0, ()),), 0,

@@ -2,19 +2,35 @@
 
 Integers are emitted as JSON numbers while they fit in 64 bits and as
 decimal strings beyond; rationals are "p/q" strings ("p" when integral).
-Parsers accept both forms everywhere.
+Parsers accept both forms everywhere, and read each document inside
+reading(), the one place that turns a missing key or a wrong shape into
+InputError.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError, SizeMismatch
 from .graphs import Divisor, RationalFunction, build_graph
-from .metric import MetricDivisor, MetricGraph
+from .metric import MetricDivisor, MetricGraph, canonical_divisor_metric
+from .witness import WitnessInstance
 
 _I64 = 2 ** 63
+_DECIMAL = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+@contextmanager
+def reading(document):
+    """Report any shape error raised while reading a document as InputError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {document} JSON: {exc}") from exc
 
 
 def int_to_json(x):
@@ -23,12 +39,17 @@ def int_to_json(x):
 
 
 def int_from_json(x):
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise InputError(f"expected an integer, got {x!r}")
-    try:
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
         return int(x)
-    except ValueError as exc:
-        raise InputError(f"expected an integer, got {x!r}") from exc
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"expected an integer, got {x!r}")
+    return x
+
+
+def array_from_json(x):
+    if not isinstance(x, list):
+        raise InputError(f"expected an array, got {x!r}")
+    return x
 
 
 def frac_to_json(x):
@@ -39,48 +60,41 @@ def frac_to_json(x):
 
 
 def frac_from_json(x):
-    if isinstance(x, int):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {x!r}") from exc
-    raise InputError(f"expected a rational, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"expected a rational, got {x!r}")
+    return Fraction(x)
 
 
 # -- finite graphs --------------------------------------------------------------
 
 
 def graph_from_json(data):
-    try:
+    with reading("graph"):
         n = int_from_json(data["vertices"])
-        edges = [(int_from_json(u), int_from_json(v)) for u, v in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad graph JSON: {exc}") from exc
-    labels = data.get("labels")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)):
-        raise InputError("graph 'labels' must be an array of strings")
+        edges = [(int_from_json(u), int_from_json(v))
+                 for u, v in map(array_from_json, array_from_json(data["edges"]))]
+        labels = data.get("labels")
+        if labels is not None and not all(isinstance(x, str) for x in array_from_json(labels)):
+            raise InputError("graph 'labels' must be an array of strings")
     return build_graph(n, edges, labels)
 
 
 def divisor_from_json(data, graph):
-    try:
-        entries = {int(k): int_from_json(v) for k, v in data["coeffs"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad divisor JSON: {exc}") from exc
+    with reading("divisor"):
+        entries = {int_from_json(k): int_from_json(v) for k, v in data["coeffs"].items()}
     return Divisor.of(graph.vertex_count, entries)
 
 
-def function_from_json(data, graph):
-    try:
-        values = tuple(int_from_json(v) for v in data["values"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad function JSON: {exc}") from exc
+def target_from_json(data, graph):
+    """A check-generated target: its degree and its function on the graph."""
+    with reading("target"):
+        degree = int_from_json(data["degree"])
+        values = tuple(map(int_from_json, array_from_json(data["values"])))
     if len(values) != graph.vertex_count:
         raise SizeMismatch(f"{len(values)} function values for {graph.vertex_count} vertices")
-    return RationalFunction(values)
+    return degree, RationalFunction(values)
 
 
 def element_to_json(el):
@@ -92,13 +106,11 @@ def element_to_json(el):
 
 
 def metric_graph_from_json(data):
-    try:
+    with reading("metric graph"):
         model = graph_from_json(data["model"])
         lengths = [frac_from_json(data["lengths"][str(e)])
                    for e in range(model.edge_count)]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad metric graph JSON: {exc}") from exc
-    is_refinement = data.get("is_refinement", False)
+        is_refinement = data.get("is_refinement", False)
     if not isinstance(is_refinement, bool):
         raise InputError("'is_refinement' must be true or false")
     return MetricGraph(model, tuple(lengths), is_refinement)
@@ -111,13 +123,10 @@ def point_to_json(p):
 
 
 def point_from_json(data, graph):
-    if "vertex" in data:
-        return graph.vertex_point(int_from_json(data["vertex"]))
-    try:
-        return graph.point(int_from_json(data["edge"]),
-                           frac_from_json(data["offset"]))
-    except KeyError as exc:
-        raise InputError("point JSON needs 'vertex' or 'edge'+'offset'") from exc
+    with reading("point"):
+        if "vertex" in data:
+            return graph.vertex_point(int_from_json(data["vertex"]))
+        return graph.point(int_from_json(data["edge"]), frac_from_json(data["offset"]))
 
 
 def metric_divisor_to_json(d):
@@ -126,13 +135,21 @@ def metric_divisor_to_json(d):
 
 
 def metric_divisor_from_json(data, graph):
-    try:
-        items = tuple((point_from_json(row["point"], graph),
-                       int_from_json(row["coeff"]))
-                      for row in data["points"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad metric divisor JSON: {exc}") from exc
+    with reading("metric divisor"):
+        items = tuple((point_from_json(row["point"], graph), int_from_json(row["coeff"]))
+                      for row in array_from_json(data["points"]))
     return MetricDivisor(graph, items)
+
+
+def instance_from_json(data):
+    """A witness instance: 'curve', 'divisor' ("K" allowed), 'edge' and 'n'."""
+    with reading("instance"):
+        curve = metric_graph_from_json(data["curve"])
+        divisor = data["divisor"]
+        edge, n = int_from_json(data["edge"]), int_from_json(data["n"])
+    divisor = (canonical_divisor_metric(curve) if divisor == "K"
+               else metric_divisor_from_json(divisor, curve))
+    return WitnessInstance(curve, divisor, edge=edge, n=n)
 
 
 def pl_function_to_json(f):
@@ -148,8 +165,10 @@ def dumps(obj):
 
 
 def load_json_file(path):
+    # ValueError covers bad UTF-8, bad JSON and integers past int()'s digit
+    # limit; RecursionError covers arrays nested past the decoder's depth
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc

@@ -111,6 +111,17 @@ def test_generators_certify_bound_is_validated(tmp_path, theta_file, capsys):
     assert data == {"detail": "degree 20 exceeds budget 10", "error": "budget exceeded"}
 
 
+def test_check_generated_below_degree_is_validated(tmp_path, theta_file, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(dumps({"degree": 3, "values": [0, 1]}))
+    code = main(["check-generated", "--graph", theta_file, "--divisor", "K",
+                 "--target", str(target), "--below-degree", "-1",
+                 "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: below degree -1 is negative\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_check_generated_absent(tmp_path, theta_file):
     target = tmp_path / "target.json"
     target.write_text(dumps({"degree": 3, "values": [0, 1]}))
@@ -130,6 +141,19 @@ def test_check_generated_rejects_a_target_outside_the_linear_system(tmp_path, th
                  "--target", str(target), "--output", str(tmp_path / "out.json")])
     assert code == 2
     assert capsys.readouterr().err == "error: target is not in R(G, 3D)\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_check_generated_rejects_a_negative_target_degree(tmp_path, theta_file, capsys):
+    # constants lie in R(G, -2 * 0), so only the degree itself can refuse
+    divisor = tmp_path / "zero.json"
+    divisor.write_text(dumps({"coeffs": {}}))
+    target = tmp_path / "target.json"
+    target.write_text(dumps({"degree": -2, "values": [0, 0]}))
+    code = main(["check-generated", "--graph", theta_file, "--divisor", str(divisor),
+                 "--target", str(target), "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: target degree -2 is negative\n"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -438,6 +462,19 @@ MALFORMED = {
     "is-refinement-not-a-boolean": (
         "instance", {**THETA_INSTANCE,
                      "curve": {**THETA_CURVE, "is_refinement": "no"}}),
+    "length-a-boolean": (
+        "instance", {**THETA_INSTANCE,
+                     "curve": {**THETA_CURVE, "lengths": {"0": True, "1": "1", "2": "1"}}}),
+    "length-in-exponent-notation": (
+        "instance", {**THETA_INSTANCE,
+                     "curve": {**THETA_CURVE, "lengths": {"0": "1e0", "1": "1", "2": "1"}}}),
+    "edges-as-strings": ("graph", {**THETA, "edges": ["01", "01", "01"]}),
+    "edges-as-an-object": ("graph", {**THETA, "edges": {"01": 0, "10": 0, "11": 0}}),
+    "values-as-a-string": ("target", {"degree": 3, "values": "00"}),
+    "points-as-a-string": ("instance", {**THETA_INSTANCE, "divisor": {"points": ""}}),
+    "vertices-not-decimal": ("graph", {**THETA, "vertices": "0_2"}),
+    "integer-past-the-digit-limit": ("graph", b'{"vertices": ' + b"9" * 5000 + b"}"),
+    "arrays-nested-too-deeply": ("graph", b"[" * 100000 + b"]" * 100000),
 }
 
 

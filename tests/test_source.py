@@ -17,6 +17,18 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_serialize_catches_document_shape_errors():
+    # serialize.reading decides what a malformed document is, once; no other
+    # module may catch the errors a document of the wrong shape raises
+    shape_errors = {"AttributeError", "KeyError", "TypeError"}
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "serialize.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             and shape_errors & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}]
+    assert found == []
+
+
 def test_readme_package_layout_names_resolve():
     # every backticked name in the README's module table must exist in one of
     # its row's modules, so the table cannot go on naming a removed function
