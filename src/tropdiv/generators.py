@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, prod
 from operator import ge, mul, sub
 
@@ -28,7 +29,8 @@ from .errors import (CertificateError, DegenerateCone, InputError,
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
 from .intlinalg import frac_nullspace, frac_rank, smith_normal_form
-from .linear_systems import RgdElement, _cover_step, is_extremal, rgd_enumerate
+from .linear_systems import (RgdElement, _cover_step, is_extremal, odot, oplus,
+                             rgd_enumerate)
 
 
 @dataclass(frozen=True)
@@ -283,13 +285,9 @@ class GenerationCertificate:
     def evaluate(self, gens):
         if not self.generated:
             return None
-        values = None
-        for shift, product in self.terms:
-            p = [shift] * len(self.target.function.values)
-            for i in product:
-                p = [a + b for a, b in zip(p, gens[i].function.values)]
-            values = p if values is None else [max(a, b) for a, b in zip(values, p)]
-        return RationalFunction(tuple(values))
+        one = RationalFunction((0,) * len(self.target.function.values))
+        return reduce(oplus, (reduce(odot, (gens[i].function for i in product), one).shift(s)
+                              for s, product in self.terms))
 
 
 def _gen_elements(gens):
@@ -330,6 +328,8 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     against _count_products.
     """
     elements = _gen_elements(gens)
+    if any(len(el.function.values) != len(target.function.values) for el in elements):
+        raise SizeMismatch("generator sized to a different graph")
     m = target.degree
     if m < 0:
         raise InputError(f"target degree {m} is negative")
@@ -337,8 +337,9 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     if m == 0:
         return _replayed(GenerationCertificate(target, True, ((0, ()),), 0,
                                                "degree 0: constants are units"), [])
-    usable = [el for el in elements if 0 < el.degree <= m]
-    degrees = [el.degree for el in usable]
+    # a degree outside 1..m is in no product; as m + 1 it stays out of every
+    # table below, while terms still index the caller's list
+    degrees = [el.degree if 0 < el.degree <= m else m + 1 for el in elements]
     n_products = _count_products(degrees, m)
     budget.check_count(n_products, budget.max_products, "degree-exact products")
 
@@ -353,7 +354,7 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     # index at least as large completing the product
     options = [[i for i, d in enumerate(degrees) if d <= r and fits[i][r - d]]
                for r in range(m + 1)]
-    values = [el.function.values for el in usable]
+    values = [el.function.values for el in elements]
     uncovered = list(range(len(target.function.values)))
     terms = []
     checked = 0
@@ -378,13 +379,14 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
         else:
             stack.pop()
 
-    bound = f"all {n_products} products of degree exactly {m} over {len(usable)} generators"
+    usable = sum(d <= m for d in degrees)
+    bound = f"all {n_products} products of degree exactly {m} over {usable} generators"
     if uncovered:
         if checked != n_products:
             raise CertificateError(
                 f"the product walk checked {checked} of {n_products} products")
         return GenerationCertificate(target, False, (), checked, bound)
-    return _replayed(GenerationCertificate(target, True, tuple(terms), checked, bound), usable)
+    return _replayed(GenerationCertificate(target, True, tuple(terms), checked, bound), elements)
 
 
 def _replayed(cert, gens):

@@ -130,6 +130,8 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     (h - min h) / N, an exact division.  Every returned element is re-checked
     for membership independently.
     """
+    if degree < 0:
+        raise InputError(f"graded degree {degree} is negative")
     n = graph.vertex_count
     if len(divisor.coeffs) != n:
         raise SizeMismatch("divisor sized to a different graph")
@@ -183,7 +185,7 @@ def can_fire(graph, divisor, subset):
         raise InputError("subset contains out-of-range vertices")
     # the indicator drop: 0 on the subset, -1 outside
     cf = RationalFunction(tuple(0 if x in s else -1 for x in range(graph.vertex_count)))
-    return (divisor + ord_and_div(graph, cf)).is_effective()
+    return rgd_member(graph, divisor, cf)
 
 
 def _firing_parts(graph, coeffs):

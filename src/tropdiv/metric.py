@@ -530,21 +530,12 @@ class MetricSubgraph:
         return not self.vertices and not self.intervals
 
     def is_all(self):
-        for e in range(self.graph.model.edge_count):
-            ivs = self.edge_intervals(e)
-            if len(ivs) != 1 or ivs[0] != (Fraction(0), self.graph.lengths[e]):
-                return False
-        return True
+        return self == MetricSubgraph.whole(self.graph)
 
     def union(self, other):
-        merged = {}
-        for e in range(self.graph.model.edge_count):
-            ivs = list(self.edge_intervals(e)) + list(other.edge_intervals(e))
-            if ivs:
-                merged[e] = ivs
-        return MetricSubgraph.build(self.graph,
-                                    vertices=self.vertices | other.vertices,
-                                    intervals=merged)
+        # the constructor merges each edge's intervals into canonical form
+        return MetricSubgraph(self.graph, self.vertices | other.vertices,
+                              self.intervals + other.intervals)
 
     def contains_point(self, p):
         if p.is_vertex:
@@ -641,12 +632,9 @@ def can_fire_metric(graph, divisor, sub, l=None):
     sufficiently small positive l gives the same answer, which tests assert
     by halving.
     """
-    if sub.is_empty() or sub.is_all():
-        raise EmptySubgraph("firing subgraph must be nonempty and proper")
     if l is None:
         l = _sufficiently_small_l(graph, divisor, sub)
-    cf = cf_move(graph, sub, l)
-    return (divisor + cf.div()).is_effective()
+    return rgd_member_metric(graph, divisor, cf_move(graph, sub, l))
 
 
 def metric_firing_subgraphs(graph, divisor, budget=DEFAULT_BUDGET):

@@ -157,6 +157,19 @@ def test_check_generated_rejects_a_negative_target_degree(tmp_path, theta_file, 
     assert not (tmp_path / "out.json").exists()
 
 
+def test_rgd_and_extremals_reject_a_negative_degree(tmp_path, theta_file, capsys):
+    # the graded semi-ring has no negative degrees, also where m * D is the
+    # zero divisor whose constants rgd would otherwise list
+    zero = tmp_path / "zero.json"
+    zero.write_text(dumps({"coeffs": {}}))
+    for command, divisor, m in (("rgd", str(zero), "-1"), ("extremals", "K", "-2")):
+        code = main([command, "--graph", theta_file, "--divisor", divisor, "--m", m,
+                     "--output", str(tmp_path / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: graded degree {m} is negative\n"
+        assert not (tmp_path / "out.json").exists()
+
+
 def test_check_generated_present(tmp_path, theta_file):
     target = tmp_path / "target.json"
     target.write_text(dumps({"degree": 4, "values": [0, 1]}))

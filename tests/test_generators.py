@@ -4,7 +4,7 @@ from math import prod
 import pytest
 
 from tropdiv.budget import Budget
-from tropdiv.errors import BudgetExceeded, CertificateError, DegreeOverflow
+from tropdiv.errors import BudgetExceeded, CertificateError, DegreeOverflow, SizeMismatch
 from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
                             linear_equiv)
 from tropdiv.intlinalg import smith_normal_form
@@ -274,11 +274,13 @@ def test_product_count_matches_enumeration(rng):
 
 def summed_products(gens, total):
     """The oracle's products of degree exactly total over the usable
-    generators, each with its values summed factor by factor."""
-    usable = [el for el in gens if 0 < el.degree <= total]
-    products = list(degree_exact_products([el.degree for el in usable], total))
-    n = len(usable[0].function.values) if usable else 0
-    return products, [[sum(usable[i].function.values[x] for i in p) for x in range(n)]
+    generators, as indices into gens, each with its values summed factor by
+    factor."""
+    positions = [i for i, el in enumerate(gens) if 0 < el.degree <= total]
+    products = [tuple(positions[i] for i in p) for p in degree_exact_products(
+        [gens[i].degree for i in positions], total)]
+    n = len(gens[positions[0]].function.values) if positions else 0
+    return products, [[sum(gens[i].function.values[x] for i in p) for x in range(n)]
                       for p in products]
 
 
@@ -293,6 +295,7 @@ def assert_decompose_matches_oracle(target, gens, products, values):
     else:
         assert cert.terms == tuple((shift, products[i]) for shift, i in cover)
         assert cert.products_checked == cover[-1][1] + 1
+        assert cert.evaluate(gens).values == target.function.values
     return cert.generated
 
 
@@ -316,6 +319,21 @@ def test_product_walk_matches_recursion(rng):
         answers.add(assert_decompose_matches_oracle(
             target, gens, *summed_products(gens, total)))
     assert answers == {True, False}
+
+
+def test_decompose_terms_index_the_generators_passed_in(k4):
+    # the degree-3 generator is in no degree-2 product, yet it keeps its
+    # index, so the certificate replays on the caller's list
+    d = canonical_divisor(k4)
+    gens = [rgd_enumerate(k4, 3 * d, degree=3)[-1]] + list(rgd_enumerate(k4, d))
+    target = rgd_enumerate(k4, 2 * d, degree=2)[-1]
+    cert = decompose(target, gens)
+    assert cert.generated and cert.terms == ((0, (1, 1)), (0, (5, 5)))
+    assert cert.evaluate(gens) == target.function
+    assert cert.search_description == \
+        "all 15 products of degree exactly 2 over 5 generators"
+    with pytest.raises(SizeMismatch, match="generator sized to a different graph"):
+        decompose(target, [RgdElement(1, RationalFunction((0, 0, 0)))] + gens[1:])
 
 
 def test_decompose_matches_products_summed_afresh(k4, rng):

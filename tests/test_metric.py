@@ -490,6 +490,20 @@ def test_constant_not_extremal_for_canonical(mtheta):
     assert can_fire_metric(mtheta, k, e01)
     assert can_fire_metric(mtheta, k, e12)
     assert e01.union(e12).is_all()
+    # union merges overlapping intervals and intervals touching at a point
+    for a, b in (((F(1, 5), F(3, 5)), (F(2, 5), F(4, 5))),
+                 ((F(1, 5), F(1, 2)), (F(1, 2), F(4, 5)))):
+        merged = MetricSubgraph.build(mtheta, intervals={0: [a]}).union(
+            MetricSubgraph.build(mtheta, intervals={0: [b]}))
+        assert merged.intervals == ((0, ((F(1, 5), F(4, 5)),)),)
+        assert merged.vertices == frozenset() and not merged.is_all()
+    # closed pieces [0, 1/3] and [1/2, 1] leave the interior point 2/5 out
+    gap = e12.union(MetricSubgraph.build(
+        mtheta, intervals={0: [(F(0), F(1, 3)), (F(1, 2), F(1))]}))
+    assert gap.vertices == {0, 1} and not gap.is_all()
+    assert not gap.contains_point(mtheta.point(0, F(2, 5)))
+    whole = MetricSubgraph.whole(mtheta)
+    assert whole.is_all() and whole.union(MetricSubgraph.build(mtheta)) == whole
     assert not is_extremal_metric(mtheta, k, PLFunction.constant(mtheta, 0))
     l = F(1, 5)
     g = cf_move(mtheta, e01, l)
