@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 from .errors import (CertificateError, Disconnected, IndexOutOfRange,
                      InputError, SizeMismatch)
@@ -143,18 +144,18 @@ class Divisor:
         return sum(self.coeffs)
 
     def is_effective(self):
-        return all(c >= 0 for c in self.coeffs)
+        return min(self.coeffs, default=0) >= 0
 
     def support(self):
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
 
     def __add__(self, other):
         self._match(other)
-        return Divisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Divisor(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._match(other)
-        return Divisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Divisor(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __rmul__(self, k):
         return Divisor(tuple(int(k) * c for c in self.coeffs))

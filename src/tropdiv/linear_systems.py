@@ -6,11 +6,11 @@ interesting object is the finite set of representatives modulo shifts.
 Representatives are enumerated through the divisor classes they cut out:
 f -> D + div(f) is a bijection from R(G, D) modulo constants onto the
 effective divisors linearly equivalent to D.  Those are listed by a walk
-over the finite Jacobian (classes are residues under the Laplacian's
-Smith-form cokernel rows) that enters only branches ending in D's class,
-and each one's function is read off per-vertex potentials solved once,
-so the enumeration costs about its output rather than the C(n+d-1, d)
-effective divisors of degree d.
+over the finite Jacobian (a class is one int packing its residues under the
+Laplacian's Smith-form cokernel rows) that enters only branches ending in
+D's class, and each one's function is read off per-vertex potentials
+solved once, so the enumeration costs about its output rather than the
+C(n+d-1, d) effective divisors of degree d.
 """
 
 from __future__ import annotations
@@ -71,37 +71,47 @@ def _effective_divisor_matrix(solver, divisor):
     """The effective divisors linearly equivalent to D, each as the sorted
     tuple of the vertices carrying its deg(D) chips.
 
-    A divisor's class is the tuple of its values under the solver's cokernel
-    rows of non-zero modulus, each reduced by its modulus; the modulus-0 row
-    of a connected graph's Laplacian is +-(1, ..., 1) and only compares
-    degrees.  reach[v][r] holds the classes of the divisors with r chips on
-    vertices v, ..., n-1, and a depth-first walk puts c chips on vertex v
-    only when the rest of D's class stays in reach[v + 1][r - c], so every
-    branch it enters ends in a member.  The table has at most
+    A divisor's class is its values under the solver's cokernel rows of
+    non-zero modulus m_i, reduced mod m_i and packed into one int: field i
+    has b = bit_length(2 max m_i) bits and a guard bit above them, and a class
+    keeps each residue in [0, m_i) and each guard bit 0.  A sum s of two
+    classes has s_i < 2 m_i < 2^b; adding lift (2^b - m_i per field) sets
+    exactly the guards of the fields with s_i >= m_i and carries no further;
+    shifted down b bits and times fill = 2^b - 1, those guards mask mods to
+    the m_i to take off.  col[v] and back[v] are the classes of +-e_v.  The
+    modulus-0 row of a connected graph's Laplacian is +-(1, ..., 1) and only
+    compares degrees.  reach[v][r] holds the classes of the divisors with r
+    chips on vertices v, ..., n-1, and a depth-first walk puts c chips on
+    vertex v only when the rest of D's class stays in reach[v + 1][r - c],
+    so every branch it enters ends in a member.  The table has at most
     C(n+d, d+1) entries, that is (n+d)/(d+1) times the C(n+d-1, d)
-    candidates a scan would test.
+    candidates a scan would test; nothing is sized by the Jacobian's order.
     """
     n = len(divisor.coeffs)
     d = divisor.degree()
     torsion = [(row, mod) for row, mod in solver.cokernel_rows if mod]
     moduli = [mod for _, mod in torsion]
+    b = (2 * max(moduli, default=0)).bit_length()
 
-    def sub(a, b):
-        return tuple((x - y) % m for x, y, m in zip(a, b, moduli))
+    def pack(fields):
+        return sum(x << i * (b + 1) for i, x in enumerate(fields))
 
-    col = [tuple(row[v] % mod for row, mod in torsion) for v in range(n)]
+    mods, lift = pack(moduli), pack((1 << b) - m for m in moduli)
+    guards, fill = pack([1 << b] * len(moduli)), (1 << b) - 1
+    col = [pack(row[v] % mod for row, mod in torsion) for v in range(n)]
+    back = [pack(-row[v] % mod for row, mod in torsion) for v in range(n)]
     # reach[0] is never read: the walk starts there in D's own class
-    reach = [None] * n + [[{(0,) * len(torsion)}] + [set()] * d]
+    reach = [None] * n + [[{0}] + [set()] * d]
     for v in range(n - 1, 0, -1):
         below = reach[v + 1]
         cells = [below[0]]
         for r in range(1, d + 1):
-            cells.append(below[r] | {tuple((x + y) % m for x, y, m in zip(c, col[v], moduli))
-                                     for c in cells[r - 1]})
+            cells.append(below[r] | {s - ((((s + lift) & guards) >> b) * fill & mods)
+                                     for c in cells[r - 1] for s in (c + col[v],)})
         reach[v] = cells
 
-    target = tuple(sum(a * c for a, c in zip(row, divisor.coeffs)) % mod
-                   for row, mod in torsion)
+    target = pack(sum(a * c for a, c in zip(row, divisor.coeffs)) % mod
+                  for row, mod in torsion)
     out = []
     stack = [(0, d, target, ())]
     while stack:
@@ -114,7 +124,8 @@ def _effective_divisor_matrix(solver, divisor):
         for c in range(r + 1):
             if need in below[r - c]:
                 stack.append((v + 1, r - c, need, chips + (v,) * c))
-            need = sub(need, col[v])
+            s = need + back[v]
+            need = s - ((((s + lift) & guards) >> b) * fill & mods)
     return out
 
 

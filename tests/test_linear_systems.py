@@ -10,8 +10,8 @@ from tropdiv.errors import (BudgetExceeded, CertificateError, EmptyOrFullSubset,
 from tropdiv.generators import build_gn
 from tropdiv.graphs import Divisor, RationalFunction, build_graph, canonical_divisor, ord_and_div
 from tropdiv.linear_systems import (
-    _effective_divisor_matrix, _largest_firing_sets, can_fire, extremals, firing_subsets,
-    is_extremal, odot, oplus, oplus_cover, rgd_enumerate, rgd_member, scale)
+    RgdElement, _effective_divisor_matrix, _largest_firing_sets, can_fire, extremals,
+    firing_subsets, is_extremal, odot, oplus, oplus_cover, rgd_enumerate, rgd_member, scale)
 
 from conftest import random_multigraph, run_optimized
 from oracles import (all_firing_subsets, divisor_class_scan, rgd_box_enumerate,
@@ -88,6 +88,43 @@ def test_class_walk_matches_candidate_scan(rng, k4):
     assert {d.degree() for _, d in systems} >= set(range(7))
     for g, d in systems:
         assert _effective_divisor_matrix(g.laplacian_solver, d) == divisor_class_scan(g, d)
+
+
+def _torsion(g):
+    return [mod for _, mod in g.laplacian_solver.cokernel_rows if mod]
+
+
+def test_packed_classes_at_field_width_edges(rng):
+    # bananas have Jacobian Z/k, and 2k crosses a power of two around
+    # k = 32 and k = 64; the chains of bananas have invariant factors of
+    # different bit widths, and a tree has no torsion row at all
+    def chain(*ks):
+        return build_graph(len(ks) + 1, [(i, i + 1) for i, k in enumerate(ks) for _ in range(k)])
+
+    cases = []
+    for k in (2, 3, 31, 32, 33, 63, 64, 65):
+        g = chain(k)
+        assert _torsion(g) == [k]
+        cases += [(g, Divisor((d + j, -j))) for d in range(4) for j in range(-k - 1, k + 2)]
+    mixed = [chain(2, 64), chain(3, 6, 60)]
+    assert [_torsion(g) for g in mixed] == [[2, 64], [3, 6, 60]]
+    tree = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    assert _torsion(tree) == []
+    for g in mixed + [tree]:
+        for d in range(4):
+            for _ in range(40):
+                coeffs = [rng.randint(-70, 70) for _ in range(g.vertex_count - 1)]
+                cases.append((g, Divisor((d - sum(coeffs), *coeffs))))
+    for g, d in cases:
+        assert _effective_divisor_matrix(g.laplacian_solver, d) == divisor_class_scan(g, d)
+
+
+def test_walk_is_not_sized_by_the_jacobian():
+    # K_10's Jacobian (Z/10)^8 has 10^8 classes; a lone chip is its own class
+    k10 = build_graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
+    assert _torsion(k10) == [10] * 8
+    assert rgd_enumerate(k10, Divisor.of(10, {3: 1})) == (
+        RgdElement(1, RationalFunction((0,) * 10)),)
 
 
 def test_class_walk_lists_only_members():
