@@ -305,12 +305,19 @@ def _run_trop_complete_graph(args, budget):
 
 
 def _emit(payload, output):
+    """Write the payload to stdout or to the file output; False, with the
+    error on stderr, when that file cannot be written."""
     text = payload if isinstance(payload, str) else dumps(payload) + "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None):
@@ -325,8 +332,7 @@ def main(argv=None):
     except TropdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.output)
-    return code
+    return code if _emit(payload, args.output) else 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,13 @@ from .intlinalg import SmithSolver
 
 
 def _is_connected(vertex_count, edges):
-    """Whether the edges join all vertex_count vertices (search from 0)."""
+    """Whether the edges join all vertex_count vertices (search from 0).
+
+    Joining them takes at least vertex_count - 1 edges, so fewer are refused
+    before any per-vertex list is built.
+    """
+    if vertex_count > len(edges) + 1:
+        return False
     adj = [[] for _ in range(vertex_count)]
     for u, v in edges:
         adj[u].append(v)

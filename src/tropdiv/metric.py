@@ -15,7 +15,6 @@ every construction here lives on compact graphs.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -552,41 +551,18 @@ class MetricSubgraph:
         return out
 
 
-def _subgraph_distances(graph, sub):
-    """Cut the model at the subgraph's interval ends.  Returns the pieces,
-    whether each lies in the subgraph, and the exact distance from every cut
-    model point to the subgraph (Dijkstra)."""
-    points, segments = _cut_model(
-        graph, {e: sub.cut_offsets(e) for e in range(graph.model.edge_count)})
-    inside = [any(ia <= a and b <= ib for ia, ib in sub.edge_intervals(e))
-              for e, a, b, _, _ in segments]
-    dist = [None] * len(points)
-    heap = []
-    for i, p in enumerate(points):
-        if sub.contains_point(p):
-            dist[i] = Fraction(0)
-            heapq.heappush(heap, (Fraction(0), i))
-    adj = [[] for _ in points]
-    for (_, a, b, i, j), ins in zip(segments, inside):
-        w = Fraction(0) if ins else b - a
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    while heap:
-        d, i = heapq.heappop(heap)
-        if dist[i] is not None and d > dist[i]:
-            continue
-        for j, w in adj[i]:
-            nd = d + w
-            if dist[j] is None or nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-    if any(d is None for d in dist):
-        raise EmptySubgraph("distance to an empty subgraph is undefined")
-    return segments, inside, dist
-
-
 def cf_move(graph, sub, l):
-    """The chip-firing function x -> -min(l, dist(x, subgraph)), exactly."""
+    """The chip-firing function x -> -min(l, dist(x, subgraph)), exactly.
+
+    Cut the model at the subgraph's interval ends.  For l at most half of
+    every piece outside the subgraph the function is 0 on the subgraph, a
+    ramp of slope -1 and length l from each end of an outside piece that
+    lies in the subgraph, and -l everywhere else: any other way off a piece
+    crosses a whole outside piece, of length at least 2l.  A larger l is an
+    InputError.
+    """
+    if sub.graph != graph:
+        raise SizeMismatch("subgraph on a different metric graph")
     l = _frac(l)
     if l <= 0:
         raise InputError("firing distance must be positive")
@@ -594,24 +570,23 @@ def cf_move(graph, sub, l):
         raise EmptySubgraph("cannot fire an empty subgraph")
     if sub.is_all():
         raise EmptySubgraph("cannot fire the whole graph")
-    segments, inside, dist = _subgraph_distances(graph, sub)
-
-    per_edge = [{} for _ in range(graph.model.edge_count)]
-    for (e, a, b, i, j), ins in zip(segments, inside):
-        ln, da, db = b - a, dist[i], dist[j]
-        pts = {Fraction(0): da, ln: db}
-        if not ins:
-            # meeting point of the two linear fronts
-            t_star = (db - da + ln) / 2
-            if 0 < t_star < ln:
-                pts[t_star] = da + t_star
-            # crossings with the cap at level l on both rising fronts
-            for t in (l - da, ln - (l - db)):
-                if 0 < t < ln:
-                    pts[t] = min(da + t, db + (ln - t))
-        for t, d in pts.items():
-            per_edge[e][a + t] = -min(l, d)
-    return PLFunction(graph, [sorted(bps.items()) for bps in per_edge])
+    points, segments = _cut_model(
+        graph, {e: sub.cut_offsets(e) for e in range(graph.model.edge_count)})
+    per_edge = [{} for _ in graph.lengths]
+    for e, a, b, i, j in segments:
+        bps = per_edge[e]
+        if sub.contains_point(Point.interior(e, (a + b) / 2)):
+            bps[a] = bps[b] = 0
+            continue
+        if 2 * l > b - a:
+            raise InputError(f"firing distance {l} exceeds half of the piece "
+                             f"[{a}, {b}] of edge {e} outside the subgraph")
+        for end, x, ramp in ((a, i, l), (b, j, -l)):
+            if sub.contains_point(points[x]):
+                bps[end], bps[end + ramp] = 0, -l
+            else:
+                bps[end] = -l
+    return PLFunction(graph, [bps.items() for bps in per_edge])
 
 
 def _sufficiently_small_l(graph, divisor, sub):
@@ -632,6 +607,8 @@ def can_fire_metric(graph, divisor, sub, l=None):
     sufficiently small positive l gives the same answer, which tests assert
     by halving.
     """
+    if divisor.graph != graph or sub.graph != graph:
+        raise SizeMismatch("divisor or subgraph on a different metric graph")
     if l is None:
         l = _sufficiently_small_l(graph, divisor, sub)
     return rgd_member_metric(graph, divisor, cf_move(graph, sub, l))

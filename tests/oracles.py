@@ -7,7 +7,9 @@ so agreement with the fast paths is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -230,7 +232,6 @@ def grid_model(base, q):
     """The 1/q grid subdivision of a metric graph, numbered vertex by vertex:
     the model vertices, then each edge's grid points j/q (0 < j < q*length)
     in edge order.  Returns (vertex count, edge list, points)."""
-    from fractions import Fraction
     from tropdiv.metric import Point
     points = [Point.vertex(i) for i in range(base.model.vertex_count)]
     edges = []
@@ -389,3 +390,71 @@ def subgraph_from_point(graph, p):
         return MetricSubgraph.build(graph, vertices={p.index})
     return MetricSubgraph.build(graph, intervals={p.index: [(p.offset, p.offset)]})
 
+
+def subgraph_distances(graph, sub):
+    """Cut the model at the subgraph's interval ends.  Returns the pieces,
+    whether each lies in the subgraph, and the exact distance from every cut
+    model point to the subgraph (Dijkstra)."""
+    from tropdiv.errors import EmptySubgraph
+    from tropdiv.metric import _cut_model
+    points, segments = _cut_model(
+        graph, {e: sub.cut_offsets(e) for e in range(graph.model.edge_count)})
+    inside = [any(ia <= a and b <= ib for ia, ib in sub.edge_intervals(e))
+              for e, a, b, _, _ in segments]
+    dist = [None] * len(points)
+    heap = []
+    for i, p in enumerate(points):
+        if sub.contains_point(p):
+            dist[i] = Fraction(0)
+            heapq.heappush(heap, (Fraction(0), i))
+    adj = [[] for _ in points]
+    for (_, a, b, i, j), ins in zip(segments, inside):
+        w = Fraction(0) if ins else b - a
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    while heap:
+        d, i = heapq.heappop(heap)
+        if dist[i] is not None and d > dist[i]:
+            continue
+        for j, w in adj[i]:
+            nd = d + w
+            if dist[j] is None or nd < dist[j]:
+                dist[j] = nd
+                heapq.heappush(heap, (nd, j))
+    if any(d is None for d in dist):
+        raise EmptySubgraph("distance to an empty subgraph is undefined")
+    return segments, inside, dist
+
+
+def cf_move_by_distances(graph, sub, l):
+    """The chip-firing function x -> -min(l, dist(x, subgraph)), exactly, for
+    every l > 0: read off the exact distance network, with breakpoints where
+    the two fronts along a piece meet and where each crosses the cap l (the
+    reference for metric.cf_move's closed form)."""
+    from tropdiv.errors import EmptySubgraph, InputError
+    from tropdiv.metric import PLFunction, _frac
+    l = _frac(l)
+    if l <= 0:
+        raise InputError("firing distance must be positive")
+    if sub.is_empty():
+        raise EmptySubgraph("cannot fire an empty subgraph")
+    if sub.is_all():
+        raise EmptySubgraph("cannot fire the whole graph")
+    segments, inside, dist = subgraph_distances(graph, sub)
+
+    per_edge = [{} for _ in range(graph.model.edge_count)]
+    for (e, a, b, i, j), ins in zip(segments, inside):
+        ln, da, db = b - a, dist[i], dist[j]
+        pts = {Fraction(0): da, ln: db}
+        if not ins:
+            # meeting point of the two linear fronts
+            t_star = (db - da + ln) / 2
+            if 0 < t_star < ln:
+                pts[t_star] = da + t_star
+            # crossings with the cap at level l on both rising fronts
+            for t in (l - da, ln - (l - db)):
+                if 0 < t < ln:
+                    pts[t] = min(da + t, db + (ln - t))
+        for t, d in pts.items():
+            per_edge[e][a + t] = -min(l, d)
+    return PLFunction(graph, [sorted(bps.items()) for bps in per_edge])

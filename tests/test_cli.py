@@ -568,6 +568,42 @@ def test_verify_gn_5_exceeds_the_candidate_budget(tmp_path):
     assert data["detail"] == "lattice candidates: 13884156 exceeds budget 2000000"
 
 
+def test_unwritable_output_exits_2(tmp_path, theta_file, capsys):
+    # a missing directory and a directory path, for a result and for the
+    # budget-exceeded payload
+    for argv in (["rgd", "--graph", theta_file, "--divisor", "K"],
+                 ["generators", "--graph", theta_file, "--divisor", "K",
+                  "--certify-bound", "20", "--max-degree", "10"]):
+        for output in (tmp_path / "missing" / "out.json", tmp_path):
+            assert main(argv + ["--output", str(output)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {output}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+HUGE_GRAPH_CHECK = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tropdiv.cli import main
+sys.exit(main(["rgd", "--graph", sys.argv[1], "--divisor", "K"]))
+"""
+
+
+def test_graph_with_too_few_edges_is_refused_before_allocating(tmp_path):
+    # 10^12 vertices and no edge: a per-vertex allocation would need terabytes,
+    # so the child's 1 GiB address-space cap turns one into a MemoryError
+    graph = tmp_path / "huge.json"
+    graph.write_text(dumps({"vertices": 10 ** 12, "edges": []}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_GRAPH_CHECK, str(graph)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr == "error: edge list does not connect all vertices\n"
+    assert proc.stdout == ""
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy is a test-only dependency; the package must not import it
     src = Path(__file__).resolve().parent.parent / "src"
@@ -580,10 +616,11 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_console_entry_point(tmp_path, theta_file):
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "tropdiv.cli", "rgd", "--graph", theta_file,
          "--divisor", "K"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
 

@@ -17,9 +17,9 @@ from tropdiv.serialize import dumps, metric_graph_from_json
 from tropdiv.witness import build_witness, complete_graph_instance
 
 from conftest import run_optimized
-from oracles import (components_of_complement, grid_model, metric_graph_to_json,
-                     metric_firing_subgraphs_by_unions, order_at, subgraph_from_point,
-                     value_at)
+from oracles import (cf_move_by_distances, components_of_complement, grid_model,
+                     metric_graph_to_json, metric_firing_subgraphs_by_unions, order_at,
+                     subgraph_distances, subgraph_from_point, value_at)
 
 
 @pytest.fixture
@@ -427,6 +427,45 @@ def test_firing_search_matches_the_union_enumerator(name):
         divisor = MetricDivisor.of(graph, entries)
         assert metric_firing_subgraphs(graph, divisor) == \
             metric_firing_subgraphs_by_unions(graph, divisor), divisor.items
+
+
+@pytest.mark.parametrize("name", sorted(FIRING_GRAPHS))
+def test_cf_move_matches_the_distance_oracle(name):
+    # random vertex sets, closed intervals and interior singletons on the 1/8
+    # grid; the closed form holds for l up to half the shortest outside piece
+    graph = build_metric_graph(*FIRING_GRAPHS[name])
+    rng = random.Random(f"cf_move/{name}")
+    checked = 0
+    while checked < 40:
+        vertices = [x for x in range(graph.model.vertex_count) if rng.random() < 0.3]
+        intervals = {}
+        for e, length in enumerate(graph.lengths):
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                a, b = sorted(F(rng.randint(0, int(8 * length)), 8) for _ in range(2))
+                intervals.setdefault(e, []).append((a, a) if rng.random() < 0.3 else (a, b))
+        sub = MetricSubgraph.build(graph, vertices, intervals)
+        if sub.is_empty() or sub.is_all():
+            continue
+        segments, inside, _ = subgraph_distances(graph, sub)
+        bound = min(b - a for (_, a, b, _, _), ins in zip(segments, inside) if not ins) / 2
+        for l in (bound, bound / 2, bound / 3):
+            assert cf_move(graph, sub, l) == cf_move_by_distances(graph, sub, l), (sub, l)
+        with pytest.raises(InputError, match="exceeds half of the piece"):
+            cf_move(graph, sub, bound + F(1, 1000))
+        checked += 1
+
+
+def test_firing_refuses_a_divisor_or_subgraph_of_another_graph(mtheta, mk4):
+    k = canonical_divisor_metric(mtheta)
+    sub = subgraph_from_point(mtheta, mtheta.point(0, F(1, 2)))
+    longer = build_metric_graph(2, [(0, 1)] * 3, [2, 2, 2], labels=["p", "q"])
+    other = subgraph_from_point(longer, longer.point(0, F(3, 2)))
+    with pytest.raises(SizeMismatch):
+        can_fire_metric(mtheta, canonical_divisor_metric(mk4), sub)
+    with pytest.raises(SizeMismatch):
+        can_fire_metric(mtheta, k, other)
+    with pytest.raises(SizeMismatch):
+        cf_move(mtheta, other, F(1, 10))
 
 
 def test_firing_search_budget_counts_subgraph_parts(mtheta):
