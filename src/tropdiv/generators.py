@@ -107,10 +107,9 @@ def _parallelepiped_points(rays, budget):
     """
     k = len(rays)
     d = len(rays[0])
-    _, S, V = smith_normal_form([[rays[j][i] for j in range(k)] for i in range(d)])
-    if k > d or S[k - 1][k - 1] == 0:
+    _, diag, V = smith_normal_form([[rays[j][i] for j in range(k)] for i in range(d)])
+    if k > d or diag[k - 1] == 0:
         return []
-    diag = [S[i][i] for i in range(k)]
     budget.check_count(prod(diag), budget.max_lattice_candidates, "parallelepiped classes")
     top = diag[-1]
     # only the non-unit factors carry a non-zero z_i.  Stepping z_i, a wrap
@@ -121,7 +120,7 @@ def _parallelepiped_points(rays, budget):
     steps = []
     for i, s in enumerate(diag):
         if s > 1:
-            col = [V[j][i] * (top // s) % top for j in range(k)]
+            col = [V[i].get(j, 0) * (top // s) % top for j in range(k)]
             shift = [sum(cj * r[c] for cj, r in zip(col, rays)) // top for c in range(d)]
             factors.append(s)
             steps.append(([(j, cj) for j, cj in enumerate(col) if cj], shift))

@@ -102,7 +102,7 @@ class FiniteGraph:
 
     @cached_property
     def laplacian_solver(self):
-        return SmithSolver([list(row) for row in self.laplacian])
+        return SmithSolver(self.laplacian)
 
     @cached_property
     def bridges(self):
@@ -205,11 +205,12 @@ def ord_and_div(graph, f):
     """div(f): at each x the sum of f(y) - f(x) over incident non-loop edges."""
     if len(f.values) != graph.vertex_count:
         raise SizeMismatch("function sized to a different graph")
+    vals = f.values
     ords = [0] * graph.vertex_count
     for u, v in graph.edges:
         if u == v:
             continue
-        d = f.values[v] - f.values[u]
+        d = vals[v] - vals[u]
         ords[u] += d
         ords[v] -= d
     return Divisor(tuple(ords))

@@ -3,34 +3,53 @@
 Everything here works over Python ints / Fractions; no floating point.
 The Smith form is the one elimination: it drives integer solvability tests
 (lattice membership), witness recovery for linear equivalence of divisors,
-and the rational rank, kernel and solves of the frac_* helpers.
+and the rational rank, kernel and solves of the frac_* helpers.  It works
+on sparse rows and returns sparse factors, so eliminations and solves cost
+about the entries they touch, not n^2 per pivot or per solve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count
 from math import lcm
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(dst, src, q, rows_in=None, r=None):
+    """dst -= q * src on {index: entry} dicts, storing only non-zero entries.
 
-
-def mat_vec(A, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
+    With rows_in given, dst is row r of S, and rows_in[c] stays the set of
+    rows of S that are non-zero in column slot c.
+    """
+    for c, b in src.items():
+        a = dst.get(c, 0) - q * b
+        if a:
+            dst[c] = a
+            if rows_in is not None:
+                rows_in[c].add(r)
+        elif c in dst:
+            del dst[c]
+            if rows_in is not None:
+                rows_in[c].discard(r)
 
 
 def smith_normal_form(A):
-    """Return (U, S, V) with U*A*V = S, U and V unimodular, S diagonal.
+    """Return (U, diag, V) with U*A*V = S, U and V unimodular, S diagonal.
 
-    The diagonal entries are nonnegative and each divides the next.
+    A is a sequence of int rows.  The factors are sparse: U is its m rows and
+    V its n columns, each a {index: entry} dict of the non-zero entries, and
+    diag is the min(m, n) diagonal entries of S.  They are nonnegative and
+    each divides the next; past the rank they are 0.
 
     Each pivot is the first entry (row-major) of least absolute value in the
-    remaining block.  A unit pivot needs no divisibility sweep, and clearing
-    its row touches only the rows of S and V that are non-zero in its column.
-    Graph Laplacians have almost only unit invariant factors, so most pivots
-    cost the entries they change rather than a scan of the block.
+    remaining block.  A unit pivot needs no divisibility sweep.  Rows of S
+    are dicts keyed by column slot: slot[j] is the slot now at column j and
+    at[c] the column of slot c, so a column swap is two swapped slots, and
+    V's columns ride along with the slots.  rows_in[c] holds the rows
+    non-zero in slot c, so clearing the pivot's column and then its row
+    touches only the entries those operations change.  Graph Laplacians
+    have almost only unit invariant factors, and a subdivided one about
+    three non-zeros a row.
 
     Entries must be int: with Fraction entries the remainders need not reach
     zero, so the loop need not end; anything else raises TypeError.
@@ -39,67 +58,86 @@ def smith_normal_form(A):
         raise TypeError("smith_normal_form takes int entries only")
     m = len(A)
     n = len(A[0]) if m else 0
-    S = [list(row) for row in A]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
+    # order[i] is the input row r now at row i; S[r] and U[r] move with it
+    S = [dict(zip(compress(count(), row), filter(None, row))) for row in A]
+    U = [{r: 1} for r in range(m)]
+    V = [{c: 1} for c in range(n)]
+    rows_in = [set() for _ in range(n)]
+    for r, row in enumerate(S):
+        for c in row:
+            rows_in[c].add(r)
+    order = list(range(m))
+    slot = list(range(n))
+    at = list(range(n))
     t = 0
     while t < min(m, n):
-        # a unit is always of least absolute value: stop at the first one
-        pivot = next(((i, j) for i in range(t, m) for j in range(t, n)
-                      if S[i][j] in (1, -1)), None)
+        # rows from t on vanish left of column t.  A unit is always of least
+        # absolute value: stop at the first row that holds one
+        pivot = None
+        for i in range(t, m):
+            units = [at[c] for c, a in S[order[i]].items() if a == 1 or a == -1]
+            if units:
+                pivot = i, min(units)
+                break
         if pivot is None:
-            least = min(((abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n)
-                         if S[i][j]), default=None)
+            least = min(((abs(a), i, at[c]) for i in range(t, m)
+                         for c, a in S[order[i]].items()), default=None)
             if least is None:
                 break
             pivot = least[1:]
         pi, pj = pivot
-        S[t], S[pi] = S[pi], S[t]
-        U[t], U[pi] = U[pi], U[t]
+        order[t], order[pi] = order[pi], order[t]
         if pj != t:
-            # rows above t vanish in columns t and pj
-            for row in S[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            for row in V:
-                row[t], row[pj] = row[pj], row[t]
-        top, utop = S[t], U[t]
-        p = top[t]
+            slot[t], slot[pj] = slot[pj], slot[t]
+            at[slot[t]], at[slot[pj]] = t, pj
+        pr, pc = order[t], slot[t]
+        top, utop = S[pr], U[pr]
+        p = top[pc]
         dirty = False
-        for i in range(t + 1, m):
-            if S[i][t]:
-                q = S[i][t] // p
-                S[i] = [a - q * b for a, b in zip(S[i], top)]
-                U[i] = [a - q * b for a, b in zip(U[i], utop)]
-                dirty = dirty or S[i][t] != 0
+        for r in [r for r in rows_in[pc] if r != pr]:
+            q = S[r][pc] // p
+            _axpy(S[r], top, q, rows_in, r)
+            _axpy(U[r], utop, q)
+            dirty = dirty or pc in S[r]
         # column t stays fixed while it is added to the others, so only the
         # rows non-zero in it change; once it is clear that is row t of S
-        srows = [S[i] for i in range(t, m) if S[i][t]]
-        vrows = [row for row in V if row[t]]
-        for j in range(t + 1, n):
-            if top[j]:
-                q = top[j] // p
-                for row in srows:
-                    row[j] -= q * row[t]
-                for row in vrows:
-                    row[j] -= q * row[t]
-                dirty = dirty or top[j] != 0
+        srows = list(rows_in[pc])
+        for c, a in list(top.items()):
+            if c != pc:
+                q = a // p
+                for r in srows:
+                    _axpy(S[r], {c: S[r][pc]}, q, rows_in, r)
+                _axpy(V[c], V[pc], q)
+                dirty = dirty or c in top
         if dirty:
             continue  # remainders left behind become smaller pivots
         if abs(p) != 1:
             # a non-unit pivot must divide the rest of the block
-            offender = next((i for i in range(t + 1, m)
-                             if any(S[i][j] % p for j in range(t + 1, n))), None)
+            offender = next((r for r in order[t + 1:]
+                             if any(a % p for a in S[r].values())), None)
             if offender is not None:
-                S[t] = [a + b for a, b in zip(top, S[offender])]
-                U[t] = [a + b for a, b in zip(utop, U[offender])]
+                _axpy(top, S[offender], -1, rows_in, pr)
+                _axpy(utop, U[offender], -1)
                 continue
         t += 1
 
-    for i in range(min(m, n)):
-        if S[i][i] < 0:
-            S[i] = [-a for a in S[i]]
-            U[i] = [-a for a in U[i]]
-    return U, S, V
+    diag = [S[order[i]].get(slot[i], 0) for i in range(min(m, n))]
+    for i, d in enumerate(diag):
+        if d < 0:
+            diag[i] = -d
+            U[order[i]] = {c: -a for c, a in U[order[i]].items()}
+    return [U[r] for r in order], diag, [V[c] for c in slot]
+
+
+def _combine(coeffs, columns, n):
+    """sum of coeffs[i] * columns[i] as a length-n list, reading only the
+    stored entries of the columns with a non-zero coefficient."""
+    x = [0] * n
+    for y, col in zip(coeffs, columns):
+        if y:
+            for k, v in col.items():
+                x[k] += y * v
+    return x
 
 
 class SmithSolver:
@@ -108,35 +146,48 @@ class SmithSolver:
     With U A V = S, b lies in the image of A exactly when U b is divisible
     entrywise by the diagonal of S (a zero entry must meet a zero).  Rows of
     U whose invariant factor is 1 impose nothing, so ``cokernel_rows`` keeps
-    the others as (row, modulus) pairs, the modulus being the invariant
-    factor, or 0 for the rows past the rank.
+    the others as (row, modulus) pairs, the row a dense list and the modulus
+    the invariant factor, or 0 for the rows past the rank.  The first rank
+    rows of U stay sparse rows and V sparse columns, so a solve reads only
+    the entries of U in b's support columns and the columns of V with
+    y_i != 0.  Nothing n x n is built: a Laplacian's U has far fewer
+    non-zeros, and the right-hand sides are differences of divisors with
+    a few chips.
     """
 
     def __init__(self, A):
         self.m = len(A)
         self.n = len(A[0]) if self.m else 0
-        self.U, S, self.V = smith_normal_form(A)
-        self.diag = [S[i][i] for i in range(min(self.m, self.n))]
+        U, self.diag, self.V = smith_normal_form(A)
         self.rank = sum(1 for d in self.diag if d != 0)
         moduli = self.diag[:self.rank] + [0] * (self.m - self.rank)
-        self.cokernel_rows = tuple((self.U[i], d) for i, d in enumerate(moduli) if d != 1)
+        self.cokernel_rows = tuple(([row.get(j, 0) for j in range(self.m)], d)
+                                   for row, d in zip(U, moduli) if d != 1)
+        self.U = U[:self.rank]
 
-    def in_image(self, b):
-        """Whether A x = b has an integer solution."""
+    def _support(self, b):
         if len(b) != self.m:
             raise ValueError("right-hand side has wrong length")
+        return [(j, x) for j, x in enumerate(b) if x]
+
+    def _meets_cokernel(self, support):
         for row, d in self.cokernel_rows:
-            c = sum(a * x for a, x in zip(row, b))
+            c = sum(row[j] * x for j, x in support)
             if (c % d if d else c) != 0:
                 return False
         return True
 
+    def in_image(self, b):
+        """Whether A x = b has an integer solution."""
+        return self._meets_cokernel(self._support(b))
+
     def solve(self, b):
         """Return integer x with A x = b, or None when no integer solution exists."""
-        if not self.in_image(b):
+        support = self._support(b)
+        if not self._meets_cokernel(support):
             return None
-        y = [c // d for c, d in zip(mat_vec(self.U[:self.rank], b), self.diag)]
-        return mat_vec(self.V, y + [0] * (self.n - self.rank))
+        c = [sum([row.get(j, 0) * x for j, x in support]) for row in self.U]
+        return _combine([ci // d for ci, d in zip(c, self.diag)], self.V, self.n)
 
 
 def _integer_rows(rows):
@@ -150,8 +201,8 @@ def _integer_rows(rows):
     return [[int(x * d) for x in row] for row, d in zip(rows, dens)]
 
 
-def _rank(S):
-    return sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
+def _rank(diag):
+    return sum(1 for d in diag if d)
 
 
 def frac_rank(rows):
@@ -166,8 +217,8 @@ def frac_nullspace(rows, n):
     unimodular, so they are a basis of the integer kernel lattice, each a
     primitive integer vector.
     """
-    _, S, V = smith_normal_form(_integer_rows(rows) or [[0] * n])
-    return [[row[j] for row in V] for j in range(_rank(S), n)]
+    _, diag, V = smith_normal_form(_integer_rows(rows) or [[0] * n])
+    return [[col.get(i, 0) for i in range(n)] for col in V[_rank(diag):]]
 
 
 def frac_solve(A, b):
@@ -179,9 +230,10 @@ def frac_solve(A, b):
     """
     n = len(A[0]) if A else 0
     Ab = _integer_rows([list(row) + [y] for row, y in zip(A, b)])
-    U, S, V = smith_normal_form([row[:n] for row in Ab] or [[0] * n])
-    c = mat_vec(U, [row[n] for row in Ab])
-    r = _rank(S)
+    U, diag, V = smith_normal_form([row[:n] for row in Ab] or [[0] * n])
+    rhs = [row[n] for row in Ab]
+    c = [sum(a * rhs[j] for j, a in row.items()) for row in U]
+    r = _rank(diag)
     if any(c[r:]):
         return None
-    return mat_vec(V, [Fraction(c[i], S[i][i]) for i in range(r)] + [0] * (n - r))
+    return _combine([Fraction(c[i], diag[i]) for i in range(r)], V, n)

@@ -19,6 +19,82 @@ from tropdiv.intlinalg import frac_solve
 from tropdiv.linear_systems import rgd_member
 
 
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_vec(A, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in A]
+
+
+def dense_smith_form(A):
+    """(U, S, V) with U*A*V = S as dense lists, by the library's pivot rule:
+    the first entry (row-major) of least absolute value in the remaining
+    block, every row and column operation written over whole rows.  The
+    sparse smith_normal_form must reproduce these factors entry for entry.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    S = [list(row) for row in A]
+    U = identity_matrix(m)
+    V = identity_matrix(n)
+    t = 0
+    while t < min(m, n):
+        # a unit is always of least absolute value: stop at the first one
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n)
+                      if S[i][j] in (1, -1)), None)
+        if pivot is None:
+            least = min(((abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                         if S[i][j]), default=None)
+            if least is None:
+                break
+            pivot = least[1:]
+        pi, pj = pivot
+        S[t], S[pi] = S[pi], S[t]
+        U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            # rows above t vanish in columns t and pj
+            for row in S[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            for row in V:
+                row[t], row[pj] = row[pj], row[t]
+        top, utop = S[t], U[t]
+        p = top[t]
+        dirty = False
+        for i in range(t + 1, m):
+            if S[i][t]:
+                q = S[i][t] // p
+                S[i] = [a - q * b for a, b in zip(S[i], top)]
+                U[i] = [a - q * b for a, b in zip(U[i], utop)]
+                dirty = dirty or S[i][t] != 0
+        srows = [S[i] for i in range(t, m) if S[i][t]]
+        vrows = [row for row in V if row[t]]
+        for j in range(t + 1, n):
+            if top[j]:
+                q = top[j] // p
+                for row in srows:
+                    row[j] -= q * row[t]
+                for row in vrows:
+                    row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
+        if dirty:
+            continue
+        if abs(p) != 1:
+            offender = next((i for i in range(t + 1, m)
+                             if any(S[i][j] % p for j in range(t + 1, n))), None)
+            if offender is not None:
+                S[t] = [a + b for a, b in zip(top, S[offender])]
+                U[t] = [a + b for a, b in zip(utop, U[offender])]
+                continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if S[i][i] < 0:
+            S[i] = [-a for a in S[i]]
+            U[i] = [-a for a in U[i]]
+    return U, S, V
+
+
 def sufficient_box(graph, divisor):
     """Provable value range for min-0 members of R(G, D).
 

@@ -137,8 +137,8 @@ def test_parallelepiped_points_match_oracle(rng):
         assert set(got) == parallelepiped_points(rays)
         seen["k < d"] += k < d
         seen["5 x 5"] += k == d == 5
-        _, S, _ = smith_normal_form([[r[c] for r in rays] for c in range(d)])
-        non_unit = sum(S[i][i] > 1 for i in range(k))
+        _, diag, _ = smith_normal_form([[r[c] for r in rays] for c in range(d)])
+        non_unit = sum(diag[i] > 1 for i in range(k))
         seen["non-unit"] += non_unit >= 1
         seen["two non-unit"] += non_unit >= 2
     assert all(seen.values()), seen

@@ -6,11 +6,11 @@ from math import gcd
 import pytest
 
 from tropdiv.intlinalg import (SmithSolver, frac_nullspace, frac_rank, frac_solve,
-                               mat_vec, smith_normal_form)
+                               smith_normal_form)
 from tropdiv.metric import MetricDivisor, Refinement
 from tropdiv.witness import complete_graph_instance
 
-from oracles import det, rank_by_minors
+from oracles import dense_smith_form, det, mat_vec, rank_by_minors
 
 
 def mat_mul(A, B):
@@ -53,11 +53,25 @@ def in_column_lattice(A, b):
     return rank_by_minors(Ab) == r and minor_gcd(A, r) == minor_gcd(Ab, r)
 
 
-def checked_smith_form(A):
-    """Smith-factor A, check U*A*V = S with S a nonnegative divisibility
-    chain, and return (U, V, diagonal of S)."""
+def densified(A, factors):
+    """smith_normal_form's sparse (U rows, diagonal, V columns) as dense
+    (U, S, V) lists, after checking that the dicts store no zero entry."""
+    U, diag, V = factors
     m, n = len(A), len(A[0])
-    U, S, V = smith_normal_form(A)
+    assert len(U) == m and len(V) == n and len(diag) == min(m, n)
+    assert all(a != 0 for part in (U, V) for entries in part for a in entries.values())
+    return ([[row.get(j, 0) for j in range(m)] for row in U],
+            [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)],
+            [[col.get(i, 0) for col in V] for i in range(n)])
+
+
+def checked_smith_form(A):
+    """Smith-factor A, check that the factors equal the dense oracle's entry
+    for entry and U*A*V = S with S a nonnegative divisibility chain, and
+    return (U, V, diagonal of S)."""
+    m, n = len(A), len(A[0])
+    U, S, V = densified(A, smith_normal_form(A))
+    assert (U, S, V) == dense_smith_form(A)
     assert mat_mul(mat_mul(U, A), V) == S
     diag = [S[i][i] for i in range(min(m, n))]
     assert all(S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
@@ -100,14 +114,64 @@ def test_smith_normal_form_without_unit_entries(rng):
     assert len(seen) > 5
 
 
-def test_smith_normal_form_of_refined_laplacian():
+def refined_k4_laplacian():
     # the K_4 s=2 obstruction rows live on the 1/15 grid: 4 + 6*14 vertices
     graph = complete_graph_instance(4).graph
     r = MetricDivisor.of(graph, {graph.point(0, Fraction(8, 15)): 1})
-    A = Refinement(graph, [r]).graph.laplacian
+    return Refinement(graph, [r]).graph.laplacian
+
+
+def test_smith_normal_form_of_refined_laplacian():
+    A = refined_k4_laplacian()
     assert len(A) == 88
     _, _, diag = checked_smith_form(A)
     assert [d for d in diag if d != 1] == [15, 60, 60, 0]
+
+
+def test_sparse_factors_match_the_dense_oracle(rng):
+    shapes = [[[rng.randint(-4, 4) for _ in range(n)]] for n in range(1, 8)]
+    shapes += [[[rng.randint(-4, 4)] for _ in range(m)] for m in range(1, 8)]
+    shapes += [[[0] * n for _ in range(m)] for m in (1, 3, 6) for n in (1, 4, 7)]
+    shapes += [[[rng.choice(NON_UNITS) for _ in range(n)] for _ in range(m)]
+               for m, n in [(1, 5), (5, 1), (7, 7), (6, 3)]]
+    for A in shapes + random_matrices(rng, 300):
+        checked_smith_form(A)
+
+
+def test_smith_normal_form_leaves_its_argument_unchanged(rng):
+    for A in random_matrices(rng) + [refined_k4_laplacian()]:
+        rows = tuple(map(tuple, A))
+        copy = [list(row) for row in A]
+        assert smith_normal_form(rows) == smith_normal_form(copy)
+        assert rows == tuple(map(tuple, A)) and copy == [list(row) for row in A]
+
+
+def oracle_solve(A, b):
+    """V*(U*b/s) from the dense oracle's factors, or None when some entry
+    of U*b is not divisible by its invariant factor (0 past the rank)."""
+    U, S, V = dense_smith_form(A)
+    c = mat_vec(U, b)
+    r = sum(1 for i in range(min(len(A), len(A[0]))) if S[i][i])
+    if any(c[i] % S[i][i] for i in range(r)) or any(c[r:]):
+        return None
+    return mat_vec(V, [c[i] // S[i][i] for i in range(r)] + [0] * (len(A[0]) - r))
+
+
+def test_solve_is_the_oracle_formula(rng):
+    cases = [(A, [rng.randint(-3, 3) for _ in A[0]]) for A in random_matrices(rng, 120)]
+    L = refined_k4_laplacian()
+    cases += [(L, [rng.choice((0, 0, 0, 1, -1, 2)) for _ in L]) for _ in range(4)]
+    seen = set()
+    for A, x in cases:
+        solver = SmithSolver(A)
+        b = mat_vec(A, x)
+        if rng.random() < 0.5:
+            b[rng.randrange(len(A))] += rng.randint(1, 3)
+        got = solver.solve(b)
+        assert got == oracle_solve(A, b)
+        assert solver.in_image(b) == (got is not None)
+        seen.add(got is not None)
+    assert seen == {True, False}
 
 
 def test_image_test_agrees_with_solve_and_lattice_oracle(rng):
