@@ -20,7 +20,7 @@ class Budget:
     max_firing_vertices: int = 24
     # effective divisors enumerated per linear system
     max_lattice_candidates: int = 2_000_000
-    # degree-exact products enumerated per decomposition query
+    # degree-exact products per decomposition
     max_products: int = 1_000_000
     # largest graded degree accepted by decomposition searches
     max_degree: int = 64

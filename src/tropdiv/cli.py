@@ -37,8 +37,7 @@ BUDGET_FLAGS = {
                        "search of trop witness and trop complete-graph)"),
     "--max-degree": ("max_degree", "largest graded degree searched or certified"),
     "--max-products": ("max_products",
-                       "cap on degree-exact products per decomposition "
-                       "and on ray subsets per cone"),
+                       "cap on degree-exact products per decomposition"),
 }
 
 
@@ -81,7 +80,7 @@ def build_parser():
     _add_graph_divisor(p)
     p.add_argument("--certify-bound", type=int, default=0,
                    help="also certify every degree up to this bound")
-    _add_common(p, _run_generators, "--max-degree", "--max-products")
+    _add_common(p, _run_generators, "--max-degree")
 
     p = sub.add_parser("check-generated",
                        help="decompose a target over lower-degree elements")

@@ -2,9 +2,10 @@
 
 The degree-m component embeds as the height-m lattice points of the cone
 {(x, m) : Lx + mD >= 0, m >= 0}; modulo the constant-shift lineality the
-cone is pointed, and Gordan's construction (lattice points of fundamental
-parallelepipeds spanned by extreme rays, reduced to irreducibles) yields a
-finite generating set for the lattice-point monoid, hence for the semi-ring.
+cone is pointed.  It is simplicial, one extreme ray per vertex, so Gordan's
+construction (lattice points of the one parallelepiped spanned by the rays,
+reduced to irreducibles) yields a finite generating set for the
+lattice-point monoid, hence for the semi-ring.
 
 Monoid generation only sees tropical products.  The tropical sum can shrink
 the minimal generating set further, so indecomposability queries use the
@@ -16,11 +17,10 @@ certificates either way.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, prod
+from math import prod
 from operator import ge, mul, sub
 
 from .budget import DEFAULT_BUDGET
@@ -35,10 +35,10 @@ from .linear_systems import (RgdElement, _cover_step, is_extremal, odot, oplus,
 
 @dataclass(frozen=True)
 class MonoidCone:
-    """Slice model of the graded cone: coordinates (x_1..x_{n-1}, m).
+    """The graded cone in slice coordinates (x_1..x_{n-1}, m).
 
-    The all-ones lineality direction is removed by pinning x_0 = 0; rows are
-    the vertex constraints (Lx + mD >= 0) plus m >= 0.
+    x_0 = 0 removes the all-ones lineality direction.  rows are the n vertex
+    rows of Lx + mD >= 0 in vertex order, then m >= 0, as extreme_rays reads.
     """
 
     graph: FiniteGraph
@@ -78,18 +78,21 @@ def graded_cone(graph, divisor):
 
 
 def extreme_rays(cone):
-    """Primitive generators of the extreme rays, brute-force over facets."""
-    d = cone.dim
+    """Primitive generators of the extreme rays, at most one per vertex.
+
+    The ray of vertex v is the kernel of the other vertex rows, on which
+    Lx + mD = m*deg(D)*[v]; its height N_v is the least m with
+    m*(D - deg(D)*[v]) principal.  For deg(D) > 0 all n rays lie in the cone;
+    for deg(D) = 0 each is the one where mD is principal; for deg(D) < 0 none.
+    """
+    rows = cone.rows
     rays = set()
-    for subset in itertools.combinations(range(len(cone.rows)), d - 1):
-        rows = [cone.rows[i] for i in subset]
-        null = frac_nullspace(rows, d)
+    for v in range(cone.dim):
+        null = frac_nullspace(rows[:v] + rows[v + 1:-1], cone.dim)
         if len(null) != 1:
-            continue
-        # the chosen rows have rank d - 1 and vanish on the primitive kernel
-        # vector v, so a feasible one of +-v spans an extreme ray
-        v = null[0]
-        for cand in (tuple(v), tuple(-a for a in v)):
+            raise CertificateError(f"the cone's kernel at vertex {v} is not a line")
+        ray = tuple(null[0])
+        for cand in (ray, tuple(-a for a in ray)):
             if cone.contains(cand):
                 rays.add(cand)
                 break
@@ -154,7 +157,8 @@ class GeneratorSet:
     """Hilbert-basis representatives of degrees >= 1, modulo constant shifts.
 
     Degree-0 constants are the units and are never listed; they act through
-    the shifts that every decomposition query optimises over anyway.
+    the shifts that every decomposition query optimises over anyway.  The
+    degree-1 constant is listed whenever D >= 0.
     """
 
     graph: FiniteGraph
@@ -168,13 +172,11 @@ class GeneratorSet:
 def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     """Irreducible generators of the lattice-point monoid of the cone.
 
-    Candidates are the primitive extreme rays together with the fundamental
-    parallelepiped points of every independent ray subset; by the conic
-    version of Caratheodory plus division with remainder along rays, those
-    candidates generate, so filtering to irreducibles yields the full
-    Hilbert basis.  Only subsets of the span's rank are walked (dependent
-    ones give no points): every independent subset extends to one of them,
-    whose parallelepiped holds its own (the extra coefficients set to 0).
+    The cone is simplicial, so the candidates are its primitive extreme rays
+    and the lattice points of their one fundamental parallelepiped: division
+    with remainder along the rays writes every cone point as one of those
+    plus rays, so the irreducible candidates are the full Hilbert basis.
+    Dependent rays would leave points uncovered and raise CertificateError.
     Candidates are walked by height and kept unless they exceed a kept one
     by a cone point: in a pointed cone a reducible candidate is a
     lower-height irreducible plus a cone point, and two points of equal
@@ -182,20 +184,13 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     Since the rows are linear, c - a lies in the cone exactly when the
     slack of c is at least that of a in every row, so each candidate's
     slack is computed once and compared componentwise.
-    A cone that is just the height axis has only constant sections at every
-    degree and returns an empty generator list.
     """
-    d = cone.dim
     rays = extreme_rays(cone)
-    height_axis = (0,) * (d - 1) + (1,)
-    if not rays or rays == [height_axis]:
-        return GeneratorSet(cone.graph, cone.divisor, ())
-
+    if frac_rank(rays) != len(rays):
+        raise CertificateError("the cone's extreme rays are linearly dependent")
     candidates = set(rays)
-    span_rank = frac_rank(rays)
-    budget.check_count(comb(len(rays), span_rank), budget.max_products, "ray subsets")
-    for subset in itertools.combinations(rays, span_rank):
-        candidates.update(_parallelepiped_points(subset, budget))
+    if rays:  # a cone of negative degree is the origin alone
+        candidates.update(_parallelepiped_points(rays, budget))
 
     # exact for a pointed cone (graded_cone's corank-1 check): no height-0 point
     basis = []

@@ -8,13 +8,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import tropdiv.generators
 import tropdiv.intlinalg
 from tropdiv.graphs import build_graph
 
 
 @pytest.fixture
 def smith_calls(monkeypatch):
-    """Row counts of the matrices Smith-factored while the test runs."""
+    """Row counts of the matrices Smith-factored while the test runs, also
+    through the copy that generators imports."""
     calls = []
     original = tropdiv.intlinalg.smith_normal_form
 
@@ -23,6 +25,7 @@ def smith_calls(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(tropdiv.intlinalg, "smith_normal_form", counted)
+    monkeypatch.setattr(tropdiv.generators, "smith_normal_form", counted)
     return calls
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from tropdiv.graphs import RationalFunction
-from tropdiv.intlinalg import frac_solve
+from tropdiv.intlinalg import frac_nullspace, frac_solve
 from tropdiv.linear_systems import rgd_member
 
 
@@ -211,11 +211,29 @@ def connected_multigraphs(max_vertices, max_edges):
     return graphs
 
 
+def extreme_rays_by_facets(cone):
+    """Primitive generators of the extreme rays by brute force over facets:
+    every choice of dim - 1 rows, any row of the cone included, whose kernel
+    is a line gives the orientation of that line the cone contains, if any."""
+    d = cone.dim
+    rays = set()
+    for subset in itertools.combinations(cone.rows, d - 1):
+        null = frac_nullspace(list(subset), d)
+        if len(null) != 1:
+            continue
+        v = tuple(null[0])
+        for cand in (v, tuple(-a for a in v)):
+            if cone.contains(cand):
+                rays.add(cand)
+                break
+    return sorted(rays)
+
+
 def brute_force_hilbert_basis(cone, max_height, box):
-    """Irreducible cone points up to a height, scanning [0, box] per coordinate
-    (so only for cones inside the nonnegative orthant)."""
+    """Irreducible cone points up to a height, scanning [-box, box] in every
+    coordinate but the height."""
     points = [x + (m,) for m in range(1, max_height + 1)
-              for x in itertools.product(range(box + 1), repeat=cone.dim - 1)
+              for x in itertools.product(range(-box, box + 1), repeat=cone.dim - 1)
               if cone.contains(x + (m,))]
     return {c for c in points
             if not any(a[-1] < c[-1]

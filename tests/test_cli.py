@@ -99,6 +99,24 @@ def test_generators_command(tmp_path, theta_file):
     assert data["certified"]["6"] == 5
 
 
+@pytest.mark.parametrize("graph, divisor", [
+    (THETA, {"coeffs": {}}),
+    ({"vertices": 1, "edges": [[0, 0], [0, 0]]}, "K"),
+], ids=["theta-zero", "bouquet-K"])
+def test_generators_certifies_the_constant_of_a_height_axis_cone(tmp_path, graph, divisor):
+    # each cone is the height axis: the degree-1 constant generates it
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(dumps(graph))
+    if divisor != "K":
+        (tmp_path / "d.json").write_text(dumps(divisor))
+        divisor = str(tmp_path / "d.json")
+    data = json.loads(run_cli(tmp_path, ["generators", "--graph", str(graph_file),
+                                         "--divisor", divisor, "--certify-bound", "2"]))
+    assert data["degrees"] == [1]
+    assert data["elements"] == [{"degree": 1, "values": [0] * graph["vertices"]}]
+    assert data["certified"] == {"1": 1, "2": 1}
+
+
 def test_generators_certify_bound_is_validated(tmp_path, theta_file, capsys):
     code = main(["generators", "--graph", theta_file, "--divisor", "K",
                  "--certify-bound", "-3", "--output", str(tmp_path / "out.json")])
@@ -356,8 +374,7 @@ def test_max_vertices_caps_the_metric_firing_search(tmp_path, k4_instance_file):
 BUDGET_SURFACE = {
     ("rgd", "--graph", "g.json", "--divisor", "K"): set(),
     ("extremals", "--graph", "g.json", "--divisor", "K"): {"--max-vertices"},
-    ("generators", "--graph", "g.json", "--divisor", "K"):
-        {"--max-degree", "--max-products"},
+    ("generators", "--graph", "g.json", "--divisor", "K"): {"--max-degree"},
     ("check-generated", "--graph", "g.json", "--divisor", "K", "--target", "t.json"):
         {"--max-degree", "--max-products"},
     ("verify-gn", "--n", "2"): {"--max-vertices", "--max-degree", "--max-products"},
@@ -398,10 +415,10 @@ def test_each_subcommand_offers_only_the_caps_it_reads(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_budget_flags_fill_ten_slots_over_every_subcommand():
+def test_budget_flags_fill_nine_slots_over_every_subcommand():
     leaves = dict(_leaf_parsers())
     assert len(leaves) == len(BUDGET_SURFACE) == 8
-    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 10
+    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 9
 
 
 

@@ -7,17 +7,17 @@ from tropdiv.budget import Budget
 from tropdiv.errors import BudgetExceeded, CertificateError, DegreeOverflow, SizeMismatch
 from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
                             linear_equiv)
-from tropdiv.intlinalg import smith_normal_form
+from tropdiv.intlinalg import frac_rank, smith_normal_form
 from tropdiv.linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
 from tropdiv.generators import (
     GeneratorSet, MonoidCone, _count_products, _parallelepiped_points,
     build_gn, certify_basis, decompose, extreme_rays, graded_cone, hilbert_basis,
     min_generator_degrees, monoid_certificate, verify_gn)
 
-from conftest import run_optimized
+from conftest import random_multigraph, run_optimized
 from oracles import (brute_force_hilbert_basis, degree_exact_products,
-                     monoid_certificate_by_search, parallelepiped_points, rank_by_minors,
-                     sufficient_box)
+                     extreme_rays_by_facets, monoid_certificate_by_search,
+                     parallelepiped_points, rank_by_minors, sufficient_box)
 
 
 def basis_slices(gs):
@@ -52,6 +52,44 @@ def test_graded_cone_single_edge(single_edge):
     assert sorted(extreme_rays(cone)) == [(-1, 1), (0, 1)]
 
 
+def test_extreme_rays_are_the_vertex_kernels(rng):
+    # one kernel per vertex finds every ray the search over all row subsets
+    # does, and the rays are independent: the cone is simplicial.  With
+    # deg D > 0 each vertex v has its own ray, on which Lx + mD is supported
+    # at v, at the least height m for which m(D - deg(D)[v]) is principal
+    signs = set()
+    for _ in range(60):
+        graph = random_multigraph(rng)
+        n = graph.vertex_count
+        divisors = [canonical_divisor(graph)]
+        for degree in (-1, 0, rng.randint(1, 3)):
+            coeffs = [rng.randint(-2, 2) for _ in range(n)]
+            coeffs[0] += degree - sum(coeffs)
+            divisors.append(Divisor(tuple(coeffs)))
+        for divisor in divisors:
+            cone = graded_cone(graph, divisor)
+            rays = extreme_rays(cone)
+            assert rays == extreme_rays_by_facets(cone)
+            assert frac_rank(rays) == len(rays)
+            degree = divisor.degree()
+            signs.add((degree > 0) - (degree < 0))
+            if degree <= 0:
+                continue
+            assert len(rays) == n
+            supports = set()
+            for ray in rays:
+                slack = cone.slack(ray)[:-1]
+                (v,) = [u for u, s in enumerate(slack) if s]
+                assert slack[v] == ray[-1] * degree
+                shifted = divisor - Divisor.of(n, {v: degree})
+                height = next(m for m in itertools.count(1)
+                              if graph.laplacian_solver.in_image((m * shifted).coeffs))
+                assert ray[-1] == height
+                supports.add(v)
+            assert supports == set(range(n))
+    assert signs == {-1, 0, 1}
+
+
 def test_cone_height_slices_match_enumeration(theta, path3, k4):
     # lattice points at height m <-> R(G, mD), via an independent box scan
     for g in (theta, path3, k4):
@@ -81,8 +119,24 @@ def test_hilbert_basis_theta(theta):
 
 
 def test_hilbert_basis_zero_divisor(theta):
+    # the cone is the height axis, spanned by the degree-1 constant
     gs = hilbert_basis(graded_cone(theta, Divisor((0, 0))))
-    assert gs.elements == ()
+    assert basis_slices(gs) == {(0, 1)}
+    assert certify_basis(gs, 3) == {1: 1, 2: 1, 3: 1}
+
+
+def test_hilbert_basis_negative_degree(theta):
+    # the cone is the origin alone: no vertex kernel points into it
+    cone = graded_cone(theta, Divisor((-1, 0)))
+    assert extreme_rays(cone) == []
+    assert hilbert_basis(cone).elements == ()
+
+
+def test_extreme_rays_refuse_a_kernel_that_is_not_a_line():
+    # zero vertex rows, as a Laplacian of corank 2 would give, leave a plane
+    cone = MonoidCone(None, None, ((0, 0), (0, 0), (0, 1)), 2)
+    with pytest.raises(CertificateError, match="kernel at vertex 0 is not a line"):
+        extreme_rays(cone)
 
 
 def test_hilbert_basis_degree_zero_class(theta):
@@ -91,20 +145,31 @@ def test_hilbert_basis_degree_zero_class(theta):
     assert basis_slices(gs) == {(-1, 3)}
 
 
-def test_hilbert_basis_non_simplicial_cone():
-    # five facets, four rays of rank 3: every 2-subset and most 3-subsets of
-    # rays span sub-parallelepipeds, and the basis reaches height 9
-    rows = ((1, 0, 0), (0, 1, 0), (-3, 0, 4), (0, -2, 5), (-2, -3, 7))
-    cone = MonoidCone(None, None, rows, 3)
-    assert extreme_rays(cone) == [(0, 0, 1), (0, 7, 3), (4, 0, 3), (12, 13, 9)]
+def test_hilbert_basis_with_three_non_unit_invariant_factors(k4):
+    # K_4 with D = [1] + [2]: the ray matrix has invariant factors 1, 2, 8, 8,
+    # and the basis reaches degree 4.  Every basis element lies in the closed
+    # parallelepiped, so the scan up to the rays' summed heights and
+    # coordinates finds them all
+    cone = graded_cone(k4, Divisor((0, 1, 1, 0)))
+    rays = extreme_rays(cone)
+    _, diag, _ = smith_normal_form([[r[c] for r in rays] for c in range(4)])
+    assert diag == [1, 2, 8, 8]
     gs = hilbert_basis(cone)
-    slices = {cone.element_to_slice(el) for el in gs.elements}
-    assert len(slices) == 16 and max(y[-1] for y in slices) == 9
-    assert slices == brute_force_hilbert_basis(cone, 16, 40)
-    # only the four 3-subsets are walked (with the 2-subsets it would be ten)
-    assert hilbert_basis(cone, Budget(max_products=4)) == gs
-    with pytest.raises(BudgetExceeded):
-        hilbert_basis(cone, Budget(max_products=3))
+    assert len(gs.elements) == 14 and gs.degrees() == [1, 2, 3, 4]
+    height = sum(r[-1] for r in rays)
+    box = max(sum(abs(r[c]) for r in rays) for c in range(3))
+    assert basis_slices(gs) == brute_force_hilbert_basis(cone, height, box)
+
+
+@pytest.mark.parametrize("name", ["theta", "k4", "h"])
+def test_hilbert_basis_factors_one_kernel_per_vertex(theta, k4, name, smith_calls):
+    # the Laplacian, one kernel of n - 1 rows per vertex, the rank check of
+    # the n rays and their one parallelepiped
+    graph = {"theta": theta, "k4": k4,
+             "h": build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])}[name]
+    hilbert_basis(graded_cone(graph, canonical_divisor(graph)))
+    n = graph.vertex_count
+    assert smith_calls == [n] + [n - 1] * n + [n, n]
 
 
 def test_parallelepiped_points_match_oracle(rng):
@@ -499,6 +564,24 @@ def test_hilbert_basis_degree_check_survives_optimized_mode():
         "    print(exc)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "a Hilbert basis element has degree below 1\n"
+
+
+def test_hilbert_basis_rank_check_survives_optimized_mode():
+    # a dependent ray set has no parallelepiped points, so without the rank
+    # check the basis would lack the degree-1 constant
+    proc = run_optimized(
+        "import tropdiv.generators as gen\n"
+        "from tropdiv.errors import CertificateError\n"
+        "from tropdiv.graphs import build_graph, canonical_divisor\n"
+        "rays = gen.extreme_rays\n"
+        "gen.extreme_rays = lambda cone: rays(cone) + [tuple(map(sum, zip(*rays(cone))))]\n"
+        "theta = build_graph(2, [(0, 1)] * 3)\n"
+        "try:\n"
+        "    gen.hilbert_basis(gen.graded_cone(theta, canonical_divisor(theta)))\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the cone's extreme rays are linearly dependent\n", proc.stdout
 
 
 def test_certify_basis_check_survives_optimized_mode():
