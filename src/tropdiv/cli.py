@@ -38,6 +38,10 @@ BUDGET_FLAGS = {
     "--max-degree": ("max_degree", "largest graded degree searched or certified"),
     "--max-products": ("max_products",
                        "cap on degree-exact products per decomposition"),
+    "--max-lattice-candidates": ("max_lattice_candidates",
+                                 "cap on the parallelepiped classes of a Hilbert "
+                                 "basis and on the lattice candidates of each "
+                                 "linear system certified"),
 }
 
 
@@ -80,7 +84,7 @@ def build_parser():
     _add_graph_divisor(p)
     p.add_argument("--certify-bound", type=int, default=0,
                    help="also certify every degree up to this bound")
-    _add_common(p, _run_generators, "--max-degree")
+    _add_common(p, _run_generators, "--max-degree", "--max-lattice-candidates")
 
     p = sub.add_parser("check-generated",
                        help="decompose a target over lower-degree elements")
@@ -93,7 +97,7 @@ def build_parser():
 
     p = sub.add_parser("verify-gn", help="unbounded generator degree certificate")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, _run_verify_gn, *BUDGET_FLAGS)
+    _add_common(p, _run_verify_gn, "--max-vertices", "--max-degree", "--max-products")
 
     trop = sub.add_parser("trop", help="Z-metric graph commands")
     tropsub = trop.add_subparsers(dest="trop_command", required=True)

@@ -5,7 +5,9 @@ The degree-m component embeds as the height-m lattice points of the cone
 cone is pointed.  It is simplicial, one extreme ray per vertex, so Gordan's
 construction (lattice points of the one parallelepiped spanned by the rays,
 reduced to irreducibles) yields a finite generating set for the
-lattice-point monoid, hence for the semi-ring.
+lattice-point monoid, hence for the semi-ring.  The parallelepiped is walked
+and reduced in the rays' own coordinates, where lying in the cone is
+componentwise nonnegativity; only the irreducibles become points.
 
 Monoid generation only sees tropical products.  The tropical sum can shrink
 the minimal generating set further, so indecomposability queries use the
@@ -21,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
-from operator import ge, mul, sub
+from operator import ge, itemgetter, mul, sub
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, DegenerateCone, InputError,
@@ -100,56 +102,60 @@ def extreme_rays(cone):
 
 
 def _parallelepiped_points(rays, budget):
-    """Non-zero integer points of {sum t_j r_j : t_j in [0,1)}; [] for dependent rays.
+    """Non-zero classes of {sum t_j r_j : t_j in [0,1)} in ray coordinates.
 
-    With U R V = S the Smith form of the ray matrix R and s_1 | ... | s_k its
-    invariant factors, the integer points of the rays' span are R V (z / s)
-    for integer z, so the residue classes modulo the ray lattice are
-    z in prod range(s_i) with ray coordinates t = V (z / s).  Reducing t into
-    [0, 1) over the common denominator s_k keeps everything in integers.
+    Returns (top, classes): each class is (h, t_1, ..., t_k) with t_j the
+    numerator of the j-th ray coordinate over top = s_k and h = sum t_j
+    height(r_j), top times the point's height (its last coordinate).
+    Dependent rays give (0, []).  With U R V = S the Smith form of the ray
+    matrix R and s_1 | ... | s_k its invariant factors, the integer points of
+    the rays' span are R V (z / s) for integer z, so the residue classes
+    modulo the ray lattice are z in prod range(s_i) with ray coordinates
+    t = V (z / s), reduced into [0, 1).  No point is built: the caller
+    rebuilds the ones it keeps as R t / top.
     """
     k = len(rays)
     d = len(rays[0])
     _, diag, V = smith_normal_form([[rays[j][i] for j in range(k)] for i in range(d)])
     if k > d or diag[k - 1] == 0:
-        return []
+        return 0, []
     budget.check_count(prod(diag), budget.max_lattice_candidates, "parallelepiped classes")
     top = diag[-1]
+    heights = [r[-1] for r in rays]
     # only the non-unit factors carry a non-zero z_i.  Stepping z_i, a wrap
     # included (s_i times column i of V scaled to s_k is 0 mod s_k), adds that
-    # column to t mod s_k; the point R t / s_k then moves by the integer
-    # vector R (column mod s_k) / s_k, less r_j for each t_j that wraps
+    # column to t mod s_k and its height to h, less top * height(r_j) for
+    # each t_j that wraps
     factors = []
     steps = []
     for i, s in enumerate(diag):
         if s > 1:
             col = [V[i].get(j, 0) * (top // s) % top for j in range(k)]
-            shift = [sum(cj * r[c] for cj, r in zip(col, rays)) // top for c in range(d)]
             factors.append(s)
-            steps.append(([(j, cj) for j, cj in enumerate(col) if cj], shift))
+            steps.append([(j, cj, cj * heights[j], top * heights[j])
+                          for j, cj in enumerate(col) if cj])
     t = [0] * k
-    x = [0] * d
+    h = 0
     z = [0] * len(factors)
-    points = []
+    classes = []
     # an odometer over z, last digit fastest, from the class of 0 (not a point)
     for _ in range(prod(factors) - 1):
         i = len(factors) - 1
         while True:
-            moves, shift = steps[i]
-            x = [a + b for a, b in zip(x, shift)]
-            for j, cj in moves:
+            for j, cj, up, wrap in steps[i]:
                 tj = t[j] + cj
+                h += up
                 if tj >= top:
                     tj -= top
-                    x = [a - b for a, b in zip(x, rays[j])]
+                    h -= wrap
                 t[j] = tj
             z[i] += 1
             if z[i] < factors[i]:
                 break
             z[i] = 0
             i -= 1
-        points.append(tuple(x))
-    return points
+        classes.append((h, *t))
+    return top, classes
 
 
 @dataclass(frozen=True)
@@ -177,32 +183,43 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     with remainder along the rays writes every cone point as one of those
     plus rays, so the irreducible candidates are the full Hilbert basis.
     Dependent rays would leave points uncovered and raise CertificateError.
-    Candidates are walked by height and kept unless they exceed a kept one
-    by a cone point: in a pointed cone a reducible candidate is a
-    lower-height irreducible plus a cone point, and two points of equal
-    height differ by a non-zero height-0 vector, which the cone lacks.
-    Since the rows are linear, c - a lies in the cone exactly when the
-    slack of c is at least that of a in every row, so each candidate's
-    slack is computed once and compared componentwise.
+    The candidates stay in ray coordinates t (over the common denominator
+    top, a ray being top times a unit vector), where c - a lies in the cone
+    exactly when t_c >= t_a componentwise.  They are walked by height and
+    kept unless they dominate a kept one: in a pointed cone a reducible
+    candidate is a lower-height irreducible plus a cone point, and two
+    distinct points of equal height never dominate each other, since every
+    ray has positive height.  Only the kept t are rebuilt as points R t / top.
     """
     rays = extreme_rays(cone)
     if frac_rank(rays) != len(rays):
         raise CertificateError("the cone's extreme rays are linearly dependent")
-    candidates = set(rays)
-    if rays:  # a cone of negative degree is the origin alone
-        candidates.update(_parallelepiped_points(rays, budget))
+    if not rays:  # a cone of negative degree is the origin alone
+        return GeneratorSet(cone.graph, cone.divisor, ())
+    top, candidates = _parallelepiped_points(rays, budget)
+    k = len(rays)
+    candidates += [(top * r[-1],) + (0,) * j + (top,) + (0,) * (k - 1 - j)
+                   for j, r in enumerate(rays)]
+    # sorted on h alone, since equal heights never dominate each other; a kept
+    # candidate's h is at most the current one's, so comparing h too is harmless
+    candidates.sort(key=itemgetter(0))
+    kept = []
+    for c in candidates:
+        for a in kept:
+            if all(map(ge, c, a)):
+                break
+        else:
+            kept.append(c)
 
-    # exact for a pointed cone (graded_cone's corank-1 check): no height-0 point
-    basis = []
-    kept_slacks = []
-    for c in sorted(candidates, key=lambda y: (y[-1], y)):
-        sc = cone.slack(c)
-        if not any(all(map(ge, sc, sa)) for sa in kept_slacks):
-            basis.append(c)
-            kept_slacks.append(sc)
-
+    R = list(zip(*rays))  # the rays as columns
     elements = []
-    for y in basis:
+    for _, *t in kept:
+        y = []
+        for row in R:
+            x, rem = divmod(sum(map(mul, row, t)), top)
+            if rem:
+                raise CertificateError("a parallelepiped class is not a lattice point")
+            y.append(x)
         el = cone.slice_to_element(y)
         if el.degree < 1:
             raise CertificateError("a Hilbert basis element has degree below 1")

@@ -123,6 +123,16 @@ def build_graph(vertex_count, edges, labels=None):
                        tuple(labels) if labels is not None else None)
 
 
+def _of_ints(cls, ints):
+    """cls(ints) for a tuple of ints built in this package: the same type as
+    the public constructor gives, without its per-entry int() coercion.
+    cls is Divisor or RationalFunction, whose one field __match_args__ names;
+    setting it as __post_init__ does keeps the instance as small."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, cls.__match_args__[0], ints)
+    return obj
+
+
 @dataclass(frozen=True, order=True)
 class Divisor:
     """Integer coefficients per vertex."""
@@ -157,17 +167,17 @@ class Divisor:
 
     def __add__(self, other):
         self._match(other)
-        return Divisor(tuple(map(add, self.coeffs, other.coeffs)))
+        return _of_ints(Divisor, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._match(other)
-        return Divisor(tuple(map(sub, self.coeffs, other.coeffs)))
+        return _of_ints(Divisor, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __rmul__(self, k):
-        return Divisor(tuple(int(k) * c for c in self.coeffs))
+        return _of_ints(Divisor, tuple(int(k) * c for c in self.coeffs))
 
     def __neg__(self):
-        return Divisor(tuple(-c for c in self.coeffs))
+        return _of_ints(Divisor, tuple(-c for c in self.coeffs))
 
     def _match(self, other):
         if len(self.coeffs) != len(other.coeffs):
@@ -186,10 +196,11 @@ class RationalFunction:
     def normalized(self):
         """Representative of the constant-shift orbit with minimum value 0."""
         m = min(self.values)
-        return RationalFunction(tuple(v - m for v in self.values))
+        return _of_ints(RationalFunction, tuple(v - m for v in self.values))
 
     def shift(self, c):
-        return RationalFunction(tuple(v + c for v in self.values))
+        c = int(c)
+        return _of_ints(RationalFunction, tuple(v + c for v in self.values))
 
 
 def canonical_divisor(graph):
@@ -213,7 +224,7 @@ def ord_and_div(graph, f):
         d = vals[v] - vals[u]
         ords[u] += d
         ords[v] -= d
-    return Divisor(tuple(ords))
+    return _of_ints(Divisor, tuple(ords))
 
 
 def linear_equiv(graph, d1, d2):

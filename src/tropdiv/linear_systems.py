@@ -22,7 +22,7 @@ from operator import add, sub
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, EmptyOrFullSubset, InputError, NotMember,
                      SizeMismatch)
-from .graphs import RationalFunction, ord_and_div
+from .graphs import RationalFunction, _of_ints, ord_and_div
 
 
 def oplus(f, g):
@@ -179,7 +179,7 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
         low = min(h)
         if any((x - low) % top for x in h):
             raise CertificateError("potential sum is not a multiple of the exponent")
-        f = RationalFunction(tuple((x - low) // top for x in h))
+        f = _of_ints(RationalFunction, tuple((x - low) // top for x in h))
         if not rgd_member(graph, divisor, f):
             raise CertificateError("enumerated element fails the membership replay")
         out.append(RgdElement(degree, f))

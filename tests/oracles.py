@@ -11,11 +11,16 @@ import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import ge
 
 import numpy as np
 
+from tropdiv.budget import DEFAULT_BUDGET
+from tropdiv.errors import CertificateError
+from tropdiv.generators import GeneratorSet, extreme_rays
 from tropdiv.graphs import RationalFunction
-from tropdiv.intlinalg import frac_nullspace, frac_solve
+from tropdiv.intlinalg import frac_nullspace, frac_rank, frac_solve, smith_normal_form
 from tropdiv.linear_systems import rgd_member
 
 
@@ -281,6 +286,77 @@ def parallelepiped_points(rays):
             assert [sum(a * tj for a, tj in zip(row, t)) for row in R] == list(x)
             out.add(x)
     return out
+
+
+def parallelepiped_point_walk(rays, budget=DEFAULT_BUDGET):
+    """Non-zero integer points of {sum t_j r_j : t_j in [0, 1)} as points, []
+    for dependent rays: the Smith-form odometer over the classes z in
+    prod range(s_i), carrying the point x beside its ray coordinates t and
+    subtracting r_j from x whenever t_j wraps."""
+    k = len(rays)
+    d = len(rays[0])
+    _, diag, V = smith_normal_form([[rays[j][i] for j in range(k)] for i in range(d)])
+    if k > d or diag[k - 1] == 0:
+        return []
+    budget.check_count(prod(diag), budget.max_lattice_candidates, "parallelepiped classes")
+    top = diag[-1]
+    factors = []
+    steps = []
+    for i, s in enumerate(diag):
+        if s > 1:
+            col = [V[i].get(j, 0) * (top // s) % top for j in range(k)]
+            shift = [sum(cj * r[c] for cj, r in zip(col, rays)) // top for c in range(d)]
+            factors.append(s)
+            steps.append(([(j, cj) for j, cj in enumerate(col) if cj], shift))
+    t = [0] * k
+    x = [0] * d
+    z = [0] * len(factors)
+    points = []
+    for _ in range(prod(factors) - 1):
+        i = len(factors) - 1
+        while True:
+            moves, shift = steps[i]
+            x = [a + b for a, b in zip(x, shift)]
+            for j, cj in moves:
+                tj = t[j] + cj
+                if tj >= top:
+                    tj -= top
+                    x = [a - b for a, b in zip(x, rays[j])]
+                t[j] = tj
+            z[i] += 1
+            if z[i] < factors[i]:
+                break
+            z[i] = 0
+            i -= 1
+        points.append(tuple(x))
+    return points
+
+
+def hilbert_basis_by_slack(cone, budget=DEFAULT_BUDGET):
+    """Gordan's construction on points: the rays and the walked parallelepiped
+    points in one set, sorted by (height, point), each kept unless its row
+    slack is componentwise at least that of a kept one, i.e. unless it is a
+    kept point plus a cone point."""
+    rays = extreme_rays(cone)
+    if frac_rank(rays) != len(rays):
+        raise CertificateError("the cone's extreme rays are linearly dependent")
+    candidates = set(rays)
+    if rays:
+        candidates.update(parallelepiped_point_walk(rays, budget))
+    basis = []
+    kept_slacks = []
+    for c in sorted(candidates, key=lambda y: (y[-1], y)):
+        sc = cone.slack(c)
+        if not any(all(map(ge, sc, sa)) for sa in kept_slacks):
+            basis.append(c)
+            kept_slacks.append(sc)
+    elements = []
+    for y in basis:
+        el = cone.slice_to_element(y)
+        if el.degree < 1:
+            raise CertificateError("a Hilbert basis element has degree below 1")
+        elements.append(el)
+    return GeneratorSet(cone.graph, cone.divisor, tuple(sorted(elements)))
 
 
 def det(M):

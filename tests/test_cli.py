@@ -129,6 +129,23 @@ def test_generators_certify_bound_is_validated(tmp_path, theta_file, capsys):
     assert data == {"detail": "degree 20 exceeds budget 10", "error": "budget exceeded"}
 
 
+def test_max_lattice_candidates_caps_both_searches_of_generators(tmp_path, theta_file):
+    # theta with K: the rays' parallelepiped has 6 classes, and certifying
+    # degree 3 enumerates 7 lattice candidates
+    argv = ["generators", "--graph", theta_file, "--divisor", "K"]
+    data = json.loads(run_cli(tmp_path, argv + ["--max-lattice-candidates", "5"],
+                              expect_code=3))
+    assert data == {"detail": "parallelepiped classes: 6 exceeds budget 5",
+                    "error": "budget exceeded"}
+    data = json.loads(run_cli(tmp_path, argv + ["--max-lattice-candidates", "6",
+                                                "--certify-bound", "3"], expect_code=3))
+    assert data == {"detail": "lattice candidates: 7 exceeds budget 6",
+                    "error": "budget exceeded"}
+    data = json.loads(run_cli(tmp_path, argv + ["--max-lattice-candidates", "7",
+                                                "--certify-bound", "3"]))
+    assert data["certified"] == {"1": 1, "2": 1, "3": 3}
+
+
 def test_check_generated_below_degree_is_validated(tmp_path, theta_file, capsys):
     target = tmp_path / "target.json"
     target.write_text(dumps({"degree": 3, "values": [0, 1]}))
@@ -374,7 +391,8 @@ def test_max_vertices_caps_the_metric_firing_search(tmp_path, k4_instance_file):
 BUDGET_SURFACE = {
     ("rgd", "--graph", "g.json", "--divisor", "K"): set(),
     ("extremals", "--graph", "g.json", "--divisor", "K"): {"--max-vertices"},
-    ("generators", "--graph", "g.json", "--divisor", "K"): {"--max-degree"},
+    ("generators", "--graph", "g.json", "--divisor", "K"):
+        {"--max-degree", "--max-lattice-candidates"},
     ("check-generated", "--graph", "g.json", "--divisor", "K", "--target", "t.json"):
         {"--max-degree", "--max-products"},
     ("verify-gn", "--n", "2"): {"--max-vertices", "--max-degree", "--max-products"},
@@ -382,7 +400,8 @@ BUDGET_SURFACE = {
     ("trop", "witness", "--instance", "i.json", "--s", "1"): {"--max-vertices"},
     ("trop", "complete-graph", "--n", "4"): {"--max-vertices"},
 }
-ALL_BUDGET_FLAGS = {"--max-vertices", "--max-degree", "--max-products"}
+ALL_BUDGET_FLAGS = {"--max-vertices", "--max-degree", "--max-products",
+                    "--max-lattice-candidates"}
 
 
 def _leaf_parsers(parser=None, path=()):
@@ -415,10 +434,10 @@ def test_each_subcommand_offers_only_the_caps_it_reads(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_budget_flags_fill_nine_slots_over_every_subcommand():
+def test_budget_flags_fill_ten_slots_over_every_subcommand():
     leaves = dict(_leaf_parsers())
     assert len(leaves) == len(BUDGET_SURFACE) == 8
-    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 9
+    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 10
 
 
 

@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from tropdiv import generators
 from tropdiv.budget import Budget
 from tropdiv.errors import BudgetExceeded, CertificateError, DegreeOverflow, SizeMismatch
 from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
@@ -16,7 +17,8 @@ from tropdiv.generators import (
 
 from conftest import random_multigraph, run_optimized
 from oracles import (brute_force_hilbert_basis, degree_exact_products,
-                     extreme_rays_by_facets, monoid_certificate_by_search,
+                     extreme_rays_by_facets, hilbert_basis_by_slack,
+                     monoid_certificate_by_search, parallelepiped_point_walk,
                      parallelepiped_points, rank_by_minors, sufficient_box)
 
 
@@ -174,7 +176,8 @@ def test_hilbert_basis_factors_one_kernel_per_vertex(theta, k4, name, smith_call
 
 def test_parallelepiped_points_match_oracle(rng):
     # random ray sets up to 5 x 5 whose bounding box (the oracle's scan, at
-    # one rational solve per point) has at most 2,000 points
+    # one rational solve per point) has at most 2,000 points.  Each class
+    # (h, t) rebuilds to the point R t / s_k of height h / s_k
     seen = {"k < d": 0, "5 x 5": 0, "non-unit": 0, "two non-unit": 0, "dependent": 0}
     handmade = [[(2, 0), (0, 2)], [(2, 0, 0), (0, 2, 0)], [(1, 2), (3, 4)],
                 [(2, 0, 0), (0, 4, 0), (0, 0, 6)], [(1, 1, 0), (1, -1, 0), (0, 0, 3)],
@@ -193,16 +196,26 @@ def test_parallelepiped_points_match_oracle(rng):
             random_sets.append(rays)
     for rays in handmade + random_sets:
         k, d = len(rays), len(rays[0])
-        got = _parallelepiped_points(rays, Budget())
+        top, classes = _parallelepiped_points(rays, Budget())
         if rank_by_minors(rays) < k:
-            assert got == []
+            assert (top, classes) == (0, [])
+            assert parallelepiped_point_walk(rays) == []
             seen["dependent"] += 1
             continue
-        assert len(got) == len(set(got))
-        assert set(got) == parallelepiped_points(rays)
+        _, diag, _ = smith_normal_form([[r[c] for r in rays] for c in range(d)])
+        assert top == diag[k - 1]
+        points = []
+        for h, *t in classes:
+            assert all(0 <= tj < top for tj in t)
+            sums = [sum(tj * r[c] for tj, r in zip(t, rays)) for c in range(d)]
+            assert all(v % top == 0 for v in sums)
+            points.append(tuple(v // top for v in sums))
+            assert h == top * points[-1][-1]
+        assert len(points) == len(set(points)) == prod(diag[:k]) - 1
+        assert set(points) == parallelepiped_points(rays)
+        assert sorted(parallelepiped_point_walk(rays)) == sorted(points)
         seen["k < d"] += k < d
         seen["5 x 5"] += k == d == 5
-        _, diag, _ = smith_normal_form([[r[c] for r in rays] for c in range(d)])
         non_unit = sum(diag[i] > 1 for i in range(k))
         seen["non-unit"] += non_unit >= 1
         seen["two non-unit"] += non_unit >= 2
@@ -211,9 +224,79 @@ def test_parallelepiped_points_match_oracle(rng):
 
 def test_parallelepiped_budget_counts_classes():
     rays = [(2, 0, 0), (0, 2, 0), (0, 0, 3)]
-    assert len(_parallelepiped_points(rays, Budget(max_lattice_candidates=12))) == 11
+    assert len(_parallelepiped_points(rays, Budget(max_lattice_candidates=12))[1]) == 11
     with pytest.raises(BudgetExceeded):
         _parallelepiped_points(rays, Budget(max_lattice_candidates=11))
+
+
+def test_hilbert_basis_matches_the_slack_oracle(rng):
+    # random multigraphs with K, 2K and divisors of negative, zero and
+    # positive degree: the same elements, or the same exception (a cone past
+    # the class cap raises BudgetExceeded on both sides)
+    budget = Budget(max_lattice_candidates=3000)
+    outcomes = {"basis": 0, "BudgetExceeded": 0}
+    signs = set()
+    for _ in range(100):
+        graph = random_multigraph(rng)
+        n = graph.vertex_count
+        divisors = [canonical_divisor(graph), 2 * canonical_divisor(graph)]
+        for degree in (-1, 0, rng.randint(1, 3)):
+            coeffs = [rng.randint(-2, 2) for _ in range(n)]
+            coeffs[0] += degree - sum(coeffs)
+            divisors.append(Divisor(tuple(coeffs)))
+        for divisor in divisors:
+            cone = graded_cone(graph, divisor)
+            try:
+                expected = hilbert_basis_by_slack(cone, budget)
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded, match=str(exc)):
+                    hilbert_basis(cone, budget)
+                outcomes["BudgetExceeded"] += 1
+                continue
+            assert hilbert_basis(cone, budget) == expected
+            outcomes["basis"] += 1
+            degree = divisor.degree()
+            signs.add((degree > 0) - (degree < 0))
+    assert signs == {-1, 0, 1}
+    assert all(outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("name, classes, size", [
+    ("theta", 5, 3), ("k4", 3, 5), ("h", 10_815, 31), ("k33", 69_983, 106)])
+def test_hilbert_basis_reduces_in_ray_coordinates(theta, k4, monkeypatch, name, classes,
+                                                  size):
+    # no row slack is taken and only the kept classes become points.  H's
+    # ray matrix has invariant factors 1, 4, 52, 52: 10,815 non-zero classes
+    graph = {"theta": theta, "k4": k4,
+             "h": build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+             "k33": build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])}[name]
+    cone = graded_cone(graph, canonical_divisor(graph))
+    expected = hilbert_basis_by_slack(cone)
+    rays = extreme_rays(cone)
+    walked = []
+    rebuilt = []
+    walk = generators._parallelepiped_points
+    lift = MonoidCone.slice_to_element
+
+    def counted_walk(rays, budget):
+        top, found = walk(rays, budget)
+        walked.append(len(found))
+        return top, found
+
+    def counted_lift(cone, y):
+        rebuilt.append(tuple(y))
+        return lift(cone, y)
+
+    def refuse(cone, y):
+        raise AssertionError("hilbert_basis took a row slack")
+
+    monkeypatch.setattr(generators, "extreme_rays", lambda cone: rays)
+    monkeypatch.setattr(generators, "_parallelepiped_points", counted_walk)
+    monkeypatch.setattr(MonoidCone, "slice_to_element", counted_lift)
+    monkeypatch.setattr(MonoidCone, "slack", refuse)
+    assert hilbert_basis(cone) == expected
+    assert walked == [classes]
+    assert len(rebuilt) == len(set(rebuilt)) == len(expected.elements) == size
 
 
 def test_hilbert_basis_k33_frontier():
@@ -582,6 +665,26 @@ def test_hilbert_basis_rank_check_survives_optimized_mode():
         "    print(exc)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "the cone's extreme rays are linearly dependent\n", proc.stdout
+
+
+def test_hilbert_basis_rebuild_check_survives_optimized_mode():
+    # a class 1/6 of theta's first ray is not a lattice point
+    proc = run_optimized(
+        "import tropdiv.generators as gen\n"
+        "from tropdiv.errors import CertificateError\n"
+        "from tropdiv.graphs import build_graph, canonical_divisor\n"
+        "walk = gen._parallelepiped_points\n"
+        "def patched(rays, budget):\n"
+        "    top, classes = walk(rays, budget)\n"
+        "    return top, classes + [(rays[0][-1], 1) + (0,) * (len(rays) - 1)]\n"
+        "gen._parallelepiped_points = patched\n"
+        "theta = build_graph(2, [(0, 1)] * 3)\n"
+        "try:\n"
+        "    gen.hilbert_basis(gen.graded_cone(theta, canonical_divisor(theta)))\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a parallelepiped class is not a lattice point\n", proc.stdout
 
 
 def test_certify_basis_check_survives_optimized_mode():

@@ -118,6 +118,24 @@ def test_linear_equiv_recovers_principal_shifts(rng):
         assert ord_and_div(g, w) == ord_and_div(g, f)
 
 
+def test_public_constructors_coerce_and_built_values_share_the_type(theta):
+    # Divisor and RationalFunction turn every entry into an int; the values
+    # the package builds from ints are the same types, equal and hashed alike
+    d = Divisor((True, 2.0))
+    f = RationalFunction((True, 2.0))
+    assert d.coeffs == f.values == (1, 2)
+    divisors = [d + d, d - d, -d, 3 * d, ord_and_div(theta, f)]
+    functions = [f.normalized(), f.shift(2.0)]
+    assert divisors == [Divisor((2, 4)), Divisor((0, 0)), Divisor((-1, -2)),
+                        Divisor((3, 6)), Divisor((3, -3))]
+    assert functions == [RationalFunction((0, 1)), RationalFunction((3, 4))]
+    assert all(type(x) is Divisor and {type(c) for c in x.coeffs} == {int}
+               for x in divisors + [d])
+    assert all(type(x) is RationalFunction and {type(c) for c in x.values} == {int}
+               for x in functions + [f])
+    assert hash(divisors[0]) == hash(Divisor((2, 4))) and divisors[1] < divisors[0]
+
+
 def test_bridges():
     # two triangles joined by one edge
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
