@@ -39,9 +39,9 @@ BUDGET_FLAGS = {
     "--max-products": ("max_products",
                        "cap on degree-exact products per decomposition"),
     "--max-lattice-candidates": ("max_lattice_candidates",
-                                 "cap on the parallelepiped classes of a Hilbert "
-                                 "basis and on the lattice candidates of each "
-                                 "linear system certified"),
+                                 "cap on the lattice candidates of each linear "
+                                 "system enumerated and on the parallelepiped "
+                                 "classes of a Hilbert basis"),
 }
 
 
@@ -73,12 +73,12 @@ def build_parser():
     p = sub.add_parser("rgd", help="enumerate R(G, m*D) modulo constants")
     _add_graph_divisor(p, "path to divisor JSON, or 'K' for the canonical divisor")
     p.add_argument("--m", type=int, default=1)
-    _add_common(p, _run_rgd)
+    _add_common(p, _run_rgd, "--max-lattice-candidates")
 
     p = sub.add_parser("extremals", help="extremal representatives of R(G, m*D)")
     _add_graph_divisor(p)
     p.add_argument("--m", type=int, default=1)
-    _add_common(p, _run_extremals, "--max-vertices")
+    _add_common(p, _run_extremals, "--max-vertices", "--max-lattice-candidates")
 
     p = sub.add_parser("generators", help="Hilbert basis of the graded semi-ring")
     _add_graph_divisor(p)
@@ -93,11 +93,13 @@ def build_parser():
                    help="JSON with 'values' and 'degree'")
     p.add_argument("--below-degree", type=int, default=None,
                    help="use generators of degree <= this (default: degree-1)")
-    _add_common(p, _run_check_generated, "--max-degree", "--max-products")
+    _add_common(p, _run_check_generated, "--max-degree", "--max-products",
+                "--max-lattice-candidates")
 
     p = sub.add_parser("verify-gn", help="unbounded generator degree certificate")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, _run_verify_gn, "--max-vertices", "--max-degree", "--max-products")
+    _add_common(p, _run_verify_gn, "--max-vertices", "--max-degree", "--max-products",
+                "--max-lattice-candidates")
 
     trop = sub.add_parser("trop", help="Z-metric graph commands")
     tropsub = trop.add_subparsers(dest="trop_command", required=True)

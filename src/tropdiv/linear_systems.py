@@ -8,8 +8,9 @@ f -> D + div(f) is a bijection from R(G, D) modulo constants onto the
 effective divisors linearly equivalent to D.  Those are listed by a walk
 over the finite Jacobian (a class is one int packing its residues under the
 Laplacian's Smith-form cokernel rows) that enters only branches ending in
-D's class, and each one's function is read off per-vertex potentials
-solved once, so the enumeration costs about its output rather than the
+D's class.  The walk carries each member's sum of per-vertex potentials,
+solved once, down its stack, and the member's function is read off that
+sum, so the enumeration costs about its output rather than the
 C(n+d-1, d) effective divisors of degree d.
 """
 
@@ -67,9 +68,10 @@ def rgd_member(graph, divisor, f):
     return (ord_and_div(graph, f) + divisor).is_effective()
 
 
-def _effective_divisor_matrix(solver, divisor):
-    """The effective divisors linearly equivalent to D, each as the sorted
-    tuple of the vertices carrying its deg(D) chips.
+def _effective_divisor_matrix(solver, divisor, vectors, start):
+    """The effective divisors E linearly equivalent to D, each as the list
+    start + sum_v E_v vectors[v], in the lexicographic order of E's sorted
+    chip tuples.  Rows may share one list object, so they are read-only.
 
     A divisor's class is its values under the solver's cokernel rows of
     non-zero modulus m_i, reduced mod m_i and packed into one int: field i
@@ -83,12 +85,18 @@ def _effective_divisor_matrix(solver, divisor):
     compares degrees.  reach[v][r] holds the classes of the divisors with r
     chips on vertices v, ..., n-1, and a depth-first walk puts c chips on
     vertex v only when the rest of D's class stays in reach[v + 1][r - c],
-    so every branch it enters ends in a member.  The table has at most
-    C(n+d, d+1) entries, that is (n+d)/(d+1) times the C(n+d-1, d)
-    candidates a scan would test; nothing is sized by the Jacobian's order.
+    so every branch it enters ends in a member.  Each frame carries its
+    running sum, so c > 0 chips cost one add of the precomputed c vectors[v]
+    and c = 0 shares the parent's list.  reach[n-1][r] is the one class of r
+    chips on n-1, so a frame reaching the last vertex is a member and is
+    emitted at once.  The table has at most C(n+d, d+1) entries, that is
+    (n+d)/(d+1) times the C(n+d-1, d) candidates a scan would test; nothing
+    is sized by the Jacobian's order.
     """
     n = len(divisor.coeffs)
     d = divisor.degree()
+    if d < 0:
+        return []
     torsion = [(row, mod) for row, mod in solver.cokernel_rows if mod]
     moduli = [mod for _, mod in torsion]
     b = (2 * max(moduli, default=0)).bit_length()
@@ -109,23 +117,28 @@ def _effective_divisor_matrix(solver, divisor):
             cells.append(below[r] | {s - ((((s + lift) & guards) >> b) * fill & mods)
                                      for c in cells[r - 1] for s in (c + col[v],)})
         reach[v] = cells
+    # times[v][c] is c vectors[v]
+    times = [[[c * x for x in vec] for c in range(d + 1)] for vec in vectors]
+    last = times[n - 1]
 
     target = pack(sum(a * c for a, c in zip(row, divisor.coeffs)) % mod
                   for row, mod in torsion)
     out = []
-    stack = [(0, d, target, ())]
+    stack = [(0, d, target, start)]
     while stack:
-        v, r, need, chips = stack.pop()
-        if v == n:
-            out.append(chips)
+        v, r, need, h = stack.pop()
+        if v == n - 1:
+            out.append(list(map(add, h, last[r])) if r else h)
             continue
-        below = reach[v + 1]
+        below, step = reach[v + 1], times[v]
         # pushed from c = 0 up, so the walk pops members in lexicographic order
-        for c in range(r + 1):
-            if need in below[r - c]:
-                stack.append((v + 1, r - c, need, chips + (v,) * c))
+        if need in below[r]:
+            stack.append((v + 1, r, need, h))
+        for c in range(1, r + 1):
             s = need + back[v]
             need = s - ((((s + lift) & guards) >> b) * fill & mods)
+            if need in below[r - c]:
+                stack.append((v + 1, r - c, need, list(map(add, h, step[c]))))
     return out
 
 
@@ -137,9 +150,10 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
     With N the last non-zero invariant factor of the Laplacian, N times any
     degree-0 divisor is principal, so P_v with div(P_v) = N (e_v - e_0) is
     solved once per vertex.  A member E then has
-    h = sum over E's chips of P_v - sum_v D_v P_v = N f + const, and f is
-    (h - min h) / N, an exact division.  Every returned element is re-checked
-    for membership independently.
+    h = sum_v E_v P_v - sum_v D_v P_v = N f + const, which the walk carries
+    down to each member, and f is (h - min h) / N, an exact division only
+    when E ~ D.  Every returned element is re-checked for membership
+    independently.
     """
     if degree < 0:
         raise InputError(f"graded degree {degree} is negative")
@@ -172,10 +186,7 @@ def rgd_enumerate(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
         if c:
             base = [a - c * b for a, b in zip(base, p)]
     out = []
-    for chips in _effective_divisor_matrix(solver, divisor):
-        h = base
-        for v in chips:
-            h = list(map(add, h, potentials[v]))
+    for h in _effective_divisor_matrix(solver, divisor, potentials, base):
         low = min(h)
         if any((x - low) % top for x in h):
             raise CertificateError("potential sum is not a multiple of the exponent")
@@ -226,21 +237,31 @@ def firing_subsets(graph, divisor, budget=DEFAULT_BUDGET):
     chips as it has neighbours (with multiplicity) outside it.  A zero-chip
     vertex then fires only with all its neighbours, so a firing subset is a
     union of parts (_firing_parts), and the search walks the 2^parts unions
-    through that one chip test; budget.max_firing_vertices caps the parts.
+    as bitmasks over the parts; budget.max_firing_vertices caps the parts.
+    A union holding a zero-chip part but not the parts of its charged
+    neighbours cannot fire and is skipped; otherwise only the charged
+    vertices need the chip test.
     """
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
     if len(divisor.coeffs) != graph.vertex_count:
         raise SizeMismatch("divisor sized to a different graph")
     coeffs, nbrs = divisor.coeffs, graph.neighbors
-    parts = [frozenset(p) for p in _firing_parts(graph, coeffs)]
+    parts = list(_firing_parts(graph, coeffs))
     budget.check_count(len(parts), budget.max_firing_vertices, "firing search parts")
+    bit = {x: 1 << i for i, part in enumerate(parts) for x in part}
+    # (part, parts of its charged neighbours) per zero-chip part;
+    # (part, chips, neighbours' parts) per charged vertex
+    zero = [(bit[p[0]], sum({bit[z] for y in p for z in nbrs[y] if coeffs[z]}))
+            for p in parts if not coeffs[p[0]]]
+    charged = [(bit[x], coeffs[x], [bit[y] for y in nbrs[x]]) for x in bit if coeffs[x]]
     out = []
     # the parts partition V, so only mask 0 is empty and only the full mask is V
     for mask in range(1, (1 << len(parts)) - 1):
-        s = frozenset().union(*(p for i, p in enumerate(parts) if mask >> i & 1))
-        if all(coeffs[x] >= sum(y not in s for y in nbrs[x]) for x in s):
-            out.append(s)
+        if (all(mask & need == need for own, need in zero if mask & own)
+                and all(chips >= sum(not mask & b for b in around)
+                        for own, chips, around in charged if mask & own)):
+            out.append(frozenset(x for x, own in bit.items() if mask & own))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

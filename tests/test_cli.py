@@ -12,6 +12,7 @@ import pytest
 import tropdiv.generators
 import tropdiv.witness
 from tropdiv.cli import build_parser, main
+from tropdiv.generators import build_gn
 from tropdiv.serialize import dumps
 
 
@@ -389,13 +390,15 @@ def test_max_vertices_caps_the_metric_firing_search(tmp_path, k4_instance_file):
 
 
 BUDGET_SURFACE = {
-    ("rgd", "--graph", "g.json", "--divisor", "K"): set(),
-    ("extremals", "--graph", "g.json", "--divisor", "K"): {"--max-vertices"},
+    ("rgd", "--graph", "g.json", "--divisor", "K"): {"--max-lattice-candidates"},
+    ("extremals", "--graph", "g.json", "--divisor", "K"):
+        {"--max-vertices", "--max-lattice-candidates"},
     ("generators", "--graph", "g.json", "--divisor", "K"):
         {"--max-degree", "--max-lattice-candidates"},
     ("check-generated", "--graph", "g.json", "--divisor", "K", "--target", "t.json"):
-        {"--max-degree", "--max-products"},
-    ("verify-gn", "--n", "2"): {"--max-vertices", "--max-degree", "--max-products"},
+        {"--max-degree", "--max-products", "--max-lattice-candidates"},
+    ("verify-gn", "--n", "2"):
+        {"--max-vertices", "--max-degree", "--max-products", "--max-lattice-candidates"},
     ("trop", "equiv", "--curve", "c.json", "--d1", "a.json", "--d2", "b.json"): set(),
     ("trop", "witness", "--instance", "i.json", "--s", "1"): {"--max-vertices"},
     ("trop", "complete-graph", "--n", "4"): {"--max-vertices"},
@@ -434,10 +437,10 @@ def test_each_subcommand_offers_only_the_caps_it_reads(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_budget_flags_fill_ten_slots_over_every_subcommand():
+def test_budget_flags_fill_fourteen_slots_over_every_subcommand():
     leaves = dict(_leaf_parsers())
     assert len(leaves) == len(BUDGET_SURFACE) == 8
-    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 10
+    assert sum(len(_budget_flags(parser)) for parser in leaves.values()) == 14
 
 
 
@@ -596,6 +599,38 @@ def test_budget_exit_writes_its_json_to_stdout_without_output(theta_file, capsys
     assert captured.out == ('{\n  "detail": "degree 20 exceeds budget 10",\n'
                             '  "error": "budget exceeded"\n}\n')
     assert captured.err == ""
+
+
+def test_rgd_reads_the_candidate_budget(tmp_path):
+    # R(G_4, 3K): 20 vertices and 6 chips give C(25, 6) = 177,100 candidates
+    graph, _ = build_gn(4)
+    path = tmp_path / "g4.json"
+    path.write_text(dumps({"vertices": graph.vertex_count,
+                           "edges": [list(e) for e in graph.edges]}))
+    argv = ["rgd", "--graph", str(path), "--divisor", "K", "--m", "3"]
+    data = json.loads(run_cli(tmp_path, argv + ["--max-lattice-candidates", "177099"],
+                              expect_code=3))
+    assert data == {"detail": "lattice candidates: 177100 exceeds budget 177099",
+                    "error": "budget exceeded"}
+    data = json.loads(run_cli(tmp_path, argv + ["--max-lattice-candidates", "177100"]))
+    assert data["count"] == 1320
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["extremals", "--graph", "THETA", "--divisor", "K"], 3),
+    (["check-generated", "--graph", "THETA", "--divisor", "K", "--target", "TARGET"], 3),
+    (["verify-gn", "--n", "2"], 36)], ids=lambda x: x[0] if isinstance(x, list) else str(x))
+def test_each_enumerating_subcommand_reads_the_candidate_budget(tmp_path, theta_file,
+                                                                argv, count):
+    # each reaches rgd_enumerate, whose first linear system has count candidates
+    target = tmp_path / "target.json"
+    target.write_text(dumps({"degree": 3, "values": [0, 1]}))
+    argv = [{"THETA": theta_file, "TARGET": str(target)}.get(x, x) for x in argv]
+    data = json.loads(run_cli(tmp_path, argv + ["--max-lattice-candidates", str(count - 1)],
+                              expect_code=3))
+    assert data == {"detail": f"lattice candidates: {count} exceeds budget {count - 1}",
+                    "error": "budget exceeded"}
+
 
 def test_verify_gn_5_exceeds_the_candidate_budget(tmp_path):
     code = main(["verify-gn", "--n", "5", "--output", str(tmp_path / "out.json")])

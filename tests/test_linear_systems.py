@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -74,6 +75,19 @@ def test_rgd_translates_by_huge_principal_divisor(rng, k4):
         assert reps(rgd_enumerate(g, shifted, degree=2)) == expected
 
 
+def _walk_counts(g, d):
+    """The class walk's rows under unit vectors and a zero start: the chip
+    counts of the members."""
+    n = g.vertex_count
+    units = [[int(u == v) for u in range(n)] for v in range(n)]
+    return _effective_divisor_matrix(g.laplacian_solver, d, units, [0] * n)
+
+
+def _scan_counts(g, d):
+    return [[combo.count(v) for v in range(g.vertex_count)]
+            for combo in divisor_class_scan(g, d)]
+
+
 def test_class_walk_matches_candidate_scan(rng, k4):
     # loops, parallel edges, negative coefficients and degrees 0..6, plus
     # Jacobians (Z/4)^2, (Z/5)^3 and Z/3 x Z/9 of K_4, K_5 and G_2
@@ -87,7 +101,41 @@ def test_class_walk_matches_candidate_scan(rng, k4):
         systems.append((g, Divisor(tuple(coeffs))))
     assert {d.degree() for _, d in systems} >= set(range(7))
     for g, d in systems:
-        assert _effective_divisor_matrix(g.laplacian_solver, d) == divisor_class_scan(g, d)
+        counts = _scan_counts(g, d)
+        assert _walk_counts(g, d) == counts
+        # any vectors and start: each row is start + sum_v E_v vectors[v]
+        n = g.vertex_count
+        vectors = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
+        start = [rng.randint(-9, 9) for _ in range(3)]
+        assert _effective_divisor_matrix(g.laplacian_solver, d, vectors, start) == [
+            [s + sum(e * vec[i] for e, vec in zip(row, vectors)) for i, s in enumerate(start)]
+            for row in counts]
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("k4", [5, 15, 35, 69, 121, 195, 295, 425]),
+    ("h", [4, 13, 35, 76, 137, 225, 346, 504]),
+    ("k33", [16, 100, 489, 1641, 4296, 9734])])
+def test_class_walk_member_counts_per_degree(name, counts):
+    g = {"k4": build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+         "h": build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+         "k33": build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])}[name]
+    k = canonical_divisor(g)
+    assert [len(_walk_counts(g, m * k)) for m in range(1, len(counts) + 1)] == counts
+
+
+def test_class_walk_emits_at_the_last_vertex():
+    # a one-vertex graph starts the walk on its last vertex; a tree has no
+    # torsion row, so every effective divisor of the degree is a member
+    point = build_graph(1, [(0, 0)])
+    tree = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    for d in range(5):
+        assert _walk_counts(point, Divisor((d,))) == _scan_counts(point, Divisor((d,))) == [[d]]
+        divisor = Divisor((d + 2, -3, 0, 1))
+        rows = _walk_counts(tree, divisor)
+        assert rows == _scan_counts(tree, divisor)
+        assert len(rows) == comb(d + 3, 3)
+    assert _walk_counts(point, Divisor((-1,))) == []
 
 
 def _torsion(g):
@@ -116,7 +164,7 @@ def test_packed_classes_at_field_width_edges(rng):
                 coeffs = [rng.randint(-70, 70) for _ in range(g.vertex_count - 1)]
                 cases.append((g, Divisor((d - sum(coeffs), *coeffs))))
     for g, d in cases:
-        assert _effective_divisor_matrix(g.laplacian_solver, d) == divisor_class_scan(g, d)
+        assert _walk_counts(g, d) == _scan_counts(g, d)
 
 
 def test_walk_is_not_sized_by_the_jacobian():
@@ -129,7 +177,13 @@ def test_walk_is_not_sized_by_the_jacobian():
 
 def test_class_walk_lists_only_members():
     g, _ = build_gn(4)
-    assert len(_effective_divisor_matrix(g.laplacian_solver, 3 * canonical_divisor(g))) == 1320
+    d = 3 * canonical_divisor(g)
+    rows = _walk_counts(g, d)
+    assert len(rows) == 1320
+    assert rows == sorted(rows, reverse=True)
+    solver = g.laplacian_solver
+    assert all(min(row) >= 0 and solver.in_image([a - b for a, b in zip(row, d.coeffs)])
+               for row in rows)
 
 
 def test_rgd_g5_past_the_default_budget():
