@@ -31,8 +31,8 @@ from .errors import (CertificateError, DegenerateCone, InputError,
 from .graphs import (Divisor, FiniteGraph, RationalFunction, build_graph,
                      canonical_divisor, linear_equiv)
 from .intlinalg import frac_nullspace, frac_rank, smith_normal_form
-from .linear_systems import (RgdElement, _cover_step, is_extremal, odot, oplus,
-                             rgd_enumerate)
+from .linear_systems import (RgdElement, _cover_lanes, _lane_width, _pack_lanes,
+                             is_extremal, odot, oplus, rgd_enumerate)
 
 
 @dataclass(frozen=True)
@@ -331,12 +331,17 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
 
     Products are the multisets of generator indices, walked depth first as
     non-decreasing index tuples in lexicographic order.  The walk carries
-    f minus the product of the factors chosen so far, so each product costs
-    one subtraction of its last factor, and only the still-uncovered
-    vertices are tested for a match.  fits[i][r] says whether generators of
-    index >= i have degrees summing to exactly r, so every branch the walk
-    enters ends in a product; a negative answer still counts the products
-    against _count_products.
+    f minus the product of the factors chosen so far.  A factor of degree
+    below the degree left is taken only when generators of index at least
+    its own complete the product, so every branch the walk enters ends in a
+    product.  The generators of
+    degree exactly r are packed, in index order, as the byte-aligned lanes
+    of one int per vertex, so the last factors that follow a prefix with r
+    degrees left, up to its next prefix factor, are one run of lanes:
+    _cover_lanes tests the whole run in a few integer operations per
+    vertex, taking hits lowest lane first exactly as one product at a time
+    would.  A negative answer still counts the products against
+    _count_products.
     """
     elements = _gen_elements(gens)
     if any(len(el.function.values) != len(target.function.values) for el in elements):
@@ -354,39 +359,53 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     n_products = _count_products(degrees, m)
     budget.check_count(n_products, budget.max_products, "degree-exact products")
 
-    fits = [[r == 0 for r in range(m + 1)]]
-    for d in reversed(degrees):
-        row = list(fits[-1])
+    # with r degrees left, the next factor is a last one of degree exactly r
+    # (leaves[r], the lanes of columns[r]) or a prefix factor that some index
+    # at least as large completes (prefixes[r], closed by the sentinel len);
+    # a reverse pass keeps fits[r]: some generators of index >= i have
+    # degrees summing to exactly r
+    fits = [r == 0 for r in range(m + 1)]
+    leaves = [[] for _ in range(m + 1)]
+    prefixes = [[] for _ in range(m + 1)]
+    for i in reversed(range(len(degrees))):
+        d = degrees[i]
+        if d <= m:
+            leaves[d].append(i)
         for r in range(d, m + 1):
-            row[r] = row[r] or row[r - d]
-        fits.append(row)
-    fits.reverse()
-    # options[r]: the indices that can come next with r degrees left, some
-    # index at least as large completing the product
-    options = [[i for i, d in enumerate(degrees) if d <= r and fits[i][r - d]]
-               for r in range(m + 1)]
+            fits[r] = fits[r] or fits[r - d]
+            if r > d and fits[r - d]:
+                prefixes[r].append(i)
+    for row in leaves + prefixes:
+        row.reverse()
+    for row in prefixes:
+        row.append(len(degrees))
     values = [el.function.values for el in elements]
+    # every value lies in [0, top], so a lane's f - product + bias lies in
+    # [0, max f + bias]
+    bias = m * max(map(max, values), default=0)
+    width = _lane_width(max(target.function.values) + bias)
+    columns = [_pack_lanes(zip(*map(values.__getitem__, row)), width) for row in leaves]
     uncovered = list(range(len(target.function.values)))
     terms = []
     checked = 0
-    # each frame: the indices left to try, the degree left, f minus the
-    # frame's product, and that product
-    stack = [(iter(options[m]), m, target.function.values, ())]
+    # each frame: the degree left, the next positions in prefixes[r] and
+    # leaves[r], f minus the frame's product, and that product
+    stack = [[m, 0, 0, target.function.values, ()]]
     while stack and uncovered:
-        it, r, diff, product = stack[-1]
-        for i in it:
-            rest = list(map(sub, diff, values[i]))
-            if degrees[i] < r:
-                left = r - degrees[i]
-                opts = options[left]
-                stack.append((iter(opts[bisect_left(opts, i):]), left, rest, product + (i,)))
-                break
-            checked += 1
-            shift = _cover_step(rest, uncovered)
-            if shift is not None:
-                terms.append((shift, product + (i,)))
-                if not uncovered:
-                    break
+        frame = stack[-1]
+        r, a, b, diff, product = frame
+        nxt = prefixes[r][a]
+        lanes = leaves[r]
+        if b < len(lanes) and lanes[b] < nxt:
+            end = frame[2] = bisect_left(lanes, nxt, b)
+            for k, shift in _cover_lanes(diff, columns[r], b, end - b, bias, width, uncovered):
+                terms.append((shift, product + (lanes[b + k],)))
+            checked += end - b if uncovered else k + 1
+        elif nxt < len(degrees):
+            frame[1] = a + 1
+            left = r - degrees[nxt]
+            stack.append([left, bisect_left(prefixes[left], nxt), bisect_left(leaves[left], nxt),
+                          list(map(sub, diff, values[nxt])), product + (nxt,)])
         else:
             stack.pop()
 

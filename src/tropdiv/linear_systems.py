@@ -17,8 +17,10 @@ C(n+d-1, d) effective divisors of degree d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from math import comb
-from operator import add, sub
+from operator import add
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, EmptyOrFullSubset, InputError, NotMember,
@@ -333,19 +335,60 @@ def extremals(graph, divisor, degree=1, budget=DEFAULT_BUDGET):
                  if is_extremal(graph, divisor, el.function, budget))
 
 
-def _cover_step(diffs, uncovered):
-    """One candidate of a cover, given diffs = target - candidate.
+def _lane_width(bound):
+    """Bits per lane for values in [0, bound]: whole bytes, the top bit of
+    each lane left clear as its guard."""
+    return 8 * (bound.bit_length() // 8 + 1)
 
-    Shifted by min(diffs), the candidate stays <= target and matches it
-    exactly on the argmin.  Drops the uncovered vertices it matches from
-    the list uncovered and returns the shift, or returns None when it
-    matches none of them.
+
+def _pack_lanes(columns, width):
+    """One int per vertex whose lane k, width bits wide, holds columns[v][k];
+    entries are non-negative and below the guard bit."""
+    size = width // 8
+    if size == 1:
+        return [int.from_bytes(bytes(column), "little") for column in columns]
+    return [int.from_bytes(b"".join(map(int.to_bytes, column, repeat(size), repeat("little"))),
+                           "little")
+            for column in columns]
+
+
+def _cover_lanes(diffs, columns, start, count, bias, width, uncovered):
+    """Cover steps for the candidates in lanes start .. start + count - 1.
+
+    Lane j of columns[v] holds candidate j's value at v, and lane j of X_v
+    is diffs[v] + bias minus that value, which the caller keeps in
+    [0, 2**(width - 1)) so that every lane's top (guard) bit stays clear.
+    The lanewise min over the X_v is each candidate's optimal shift plus
+    bias, and the lanes where X_v equals it mark the vertices the shifted
+    candidate matches.  Candidates are taken lowest lane first, as a scan of
+    one at a time would: one that matches an uncovered vertex drops those
+    vertices from the list uncovered.  Returns (j - start, shift) for each such candidate,
+    stopping once uncovered is empty.
     """
-    shift = min(diffs)
-    if shift not in map(diffs.__getitem__, uncovered):
-        return None
-    uncovered[:] = [v for v in uncovered if diffs[v] != shift]
-    return shift
+    keep = (1 << width * count) - 1
+    ones = keep // ((1 << width) - 1)
+    guards = ones << width - 1
+    skip = width * start
+    xs = [(d + bias) * ones - (c >> skip & keep) for d, c in zip(diffs, columns)]
+    low = xs[0]
+    for x in xs[1:]:
+        # the guard bit survives (low | guards) - x where low >= x
+        ge = ((low | guards) - x) & guards
+        low ^= (low ^ x) & (ge - (ge >> width - 1))
+    top = low | guards
+    # lanes of X_v equal to the min carry their guard bit in (top - X_v)
+    marks = [(v, (top - xs[v]) & guards) for v in uncovered]
+    hit = reduce(int.__or__, (mark for _, mark in marks), 0)
+    lane = (1 << width) - 1
+    steps = []
+    while hit:
+        bit = hit & -hit
+        k = bit.bit_length() // width - 1
+        steps.append((k, (low >> width * k & lane) - bias))
+        marks = [(v, mark) for v, mark in marks if not mark & bit]
+        hit = reduce(int.__or__, (mark for _, mark in marks), 0) & -(bit << 1)
+    uncovered[:] = [v for v, _ in marks]
+    return steps
 
 
 def oplus_cover(target_values, candidate_values):
@@ -355,14 +398,18 @@ def oplus_cover(target_values, candidate_values):
     can then only match target on the argmin of (target - candidate).  The
     target is a tropical sum of shifted candidates iff those argmin sets
     cover every vertex.  Returns the list of (shift, candidate_index) terms
-    actually needed, or None.
+    actually needed, or None.  All candidates are one run of lanes for
+    _cover_lanes.
     """
+    if not candidate_values:
+        return None
+    low = min(map(min, candidate_values))
+    high = max(map(max, candidate_values))
+    floor = min(target_values)
+    width = _lane_width(max(target_values) - floor + high - low)
+    columns = _pack_lanes([[c - low for c in column] for column in zip(*candidate_values)],
+                          width)
     uncovered = list(range(len(target_values)))
-    terms = []
-    for idx, cand in enumerate(candidate_values):
-        shift = _cover_step(list(map(sub, target_values, cand)), uncovered)
-        if shift is not None:
-            terms.append((shift, idx))
-            if not uncovered:
-                return terms
-    return None
+    steps = _cover_lanes([t - low for t in target_values], columns, 0,
+                         len(candidate_values), high - floor, width, uncovered)
+    return None if uncovered else [(shift, k) for k, shift in steps]

@@ -381,6 +381,23 @@ def rank_by_minors(A):
     return rank
 
 
+def oplus_cover_by_argmin(target_values, candidate_values):
+    """oplus_cover one candidate at a time: shift it by min(target -
+    candidate), and keep it when that argmin meets a vertex still
+    uncovered."""
+    uncovered = list(range(len(target_values)))
+    terms = []
+    for idx, cand in enumerate(candidate_values):
+        diffs = [t - c for t, c in zip(target_values, cand)]
+        shift = min(diffs)
+        if any(diffs[v] == shift for v in uncovered):
+            terms.append((shift, idx))
+            uncovered = [v for v in uncovered if diffs[v] != shift]
+            if not uncovered:
+                return terms
+    return None
+
+
 def degree_exact_products(degrees, total):
     """Multisets of indices with degree sum exactly total, by recursion over
     the smallest index still allowed (lexicographic order)."""

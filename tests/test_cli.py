@@ -215,6 +215,23 @@ def test_check_generated_present(tmp_path, theta_file):
     assert data["generated_below"] is True
 
 
+def test_check_generated_stops_inside_a_run_of_last_factors(tmp_path, capsys):
+    # on K_4 at degree 3 the cover completes at the product (1, 1, 2), whose
+    # last factor is lane 2 of the run of degree-1 generators 1..4; the
+    # stdout bytes pin the early-stop count and the order of the terms
+    graph = tmp_path / "k4.json"
+    graph.write_text(dumps({"vertices": 4,
+                            "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]}))
+    target = tmp_path / "target.json"
+    target.write_text(dumps({"degree": 3, "values": [0, 1, 2, 2]}))
+    assert main(["check-generated", "--graph", str(graph), "--divisor", "K",
+                 "--target", str(target)]) == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["products_checked"] == 32
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        "e47c3c567b588771a39fdd210df31acad091e7712955960ab2a3eb40a4d828b9"
+
+
 def test_verify_gn_command(tmp_path):
     data = json.loads(run_cli(tmp_path, ["verify-gn", "--n", "2"]))
     assert data["verified"] is True

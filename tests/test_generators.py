@@ -9,7 +9,7 @@ from tropdiv.errors import BudgetExceeded, CertificateError, DegreeOverflow, Siz
 from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_divisor,
                             linear_equiv)
 from tropdiv.intlinalg import frac_rank, smith_normal_form
-from tropdiv.linear_systems import RgdElement, is_extremal, oplus_cover, rgd_enumerate
+from tropdiv.linear_systems import RgdElement, is_extremal, rgd_enumerate
 from tropdiv.generators import (
     GeneratorSet, MonoidCone, _count_products, _parallelepiped_points,
     build_gn, certify_basis, decompose, extreme_rays, graded_cone, hilbert_basis,
@@ -18,8 +18,9 @@ from tropdiv.generators import (
 from conftest import random_multigraph, run_optimized
 from oracles import (brute_force_hilbert_basis, degree_exact_products,
                      extreme_rays_by_facets, hilbert_basis_by_slack,
-                     monoid_certificate_by_search, parallelepiped_point_walk,
-                     parallelepiped_points, rank_by_minors, sufficient_box)
+                     monoid_certificate_by_search, oplus_cover_by_argmin,
+                     parallelepiped_point_walk, parallelepiped_points, rank_by_minors,
+                     sufficient_box)
 
 
 def basis_slices(gs):
@@ -433,8 +434,9 @@ def summed_products(gens, total):
 
 
 def assert_decompose_matches_oracle(target, gens, products, values):
-    """decompose against oplus_cover over summed_products(gens, degree)."""
-    cover = oplus_cover(target.function.values, values)
+    """decompose against the per-candidate cover over summed_products(gens,
+    degree)."""
+    cover = oplus_cover_by_argmin(target.function.values, values)
     cert = decompose(target, gens)
     assert cert.generated == (cover is not None)
     if cover is None:
@@ -496,11 +498,89 @@ def test_decompose_matches_products_summed_afresh(k4, rng):
                 if any(el.function.values)]
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        for order in (gens, shuffled):
+        # alternating degrees split every run of last factors into one lane
+        ones, twos = ([el for el in gens if el.degree == m] for m in (1, 2))
+        alternating = [el for pair in itertools.zip_longest(ones, twos) for el in pair if el]
+        for order in (gens, shuffled, alternating):
             products, values = summed_products(order, 3)
             for target in rgd_enumerate(graph, 3 * d, degree=3):
                 answers.add(assert_decompose_matches_oracle(target, order, products, values))
     assert answers == {True, False}
+
+
+def random_element(rng, degree, n, top):
+    """A min-0 element on n vertices with values in 0..top."""
+    values = [rng.choice((0, top, rng.randint(0, top))) for _ in range(n)]
+    low = min(values)
+    return RgdElement(degree, RationalFunction(tuple(v - low for v in values)))
+
+
+@pytest.mark.parametrize("bound", [127, 128, 32767, 32768, 2 ** 66 + 5])
+def test_decompose_lanes_at_their_width_boundaries(rng, bound):
+    # decompose packs lanes for values up to max f + m*top, here exactly
+    # bound: the zero generator's m-th power reaches it at the peak of f, and
+    # the m-th power of top at one vertex reaches 0 at a zero of f.  A
+    # generated target spans at most m*top, so top is rounded up.
+    answers = set()
+    for m in (1, 2, 3):
+        top = -(-bound // (2 * m))
+        peak = bound - m * top
+        for _ in range(25):
+            n = rng.randint(2, 4)
+            low, high = rng.sample(range(n), 2)
+            gens = [RgdElement(1, RationalFunction((0,) * n))]
+            gens += [RgdElement(1, RationalFunction(tuple(top * (x == v) for x in range(n))))
+                     for v in (low, high)]
+            gens += [random_element(rng, rng.randint(1, m), n, top) for _ in range(3)]
+            rng.shuffle(gens)
+            products, sums = summed_products(gens, m)
+            if rng.random() < 0.5:
+                values = [rng.choice((0, peak, top // 2, rng.randint(0, peak)))
+                          for _ in range(n)]
+                values[low], values[high] = 0, peak
+            else:
+                # the zero product, top^m at high lowered to peak there, and
+                # more products shifted to stay within 0 at low and peak
+                values = [peak * (v == high) for v in range(n)]
+                for p in rng.sample(sums, 2):
+                    lift = min(-p[low], peak - max(p)) - rng.randint(0, 2)
+                    values = [max(a, b + lift) for a, b in zip(values, p)]
+            target = RgdElement(m, RationalFunction(tuple(values)))
+            assert max(values) + m * max(max(el.function.values) for el in gens) == bound
+            answers.add(assert_decompose_matches_oracle(target, gens, products, sums))
+    assert answers == {True, False}
+
+
+def test_decompose_edge_shapes(rng):
+    # m = 1 (one run over every generator), a degree with no lanes (degree 2
+    # among products of degree 4 over degrees 1 and 3), and one vertex
+    answers = set()
+    for m, degrees in ((1, (1, 2)), (4, (1, 3))):
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            gens = [random_element(rng, rng.choice(degrees), n, 3)
+                    for _ in range(rng.randint(0, 6))]
+            target = random_element(rng, m, n, 6)
+            answers.add(assert_decompose_matches_oracle(target, gens,
+                                                        *summed_products(gens, m)))
+    assert answers == {True, False}
+    point = [RgdElement(1, RationalFunction((0,))), RgdElement(2, RationalFunction((0,)))]
+    cert = decompose(RgdElement(3, RationalFunction((0,))), point)
+    assert cert.terms == ((0, (0, 0, 0)),) and cert.products_checked == 1
+
+
+def test_decompose_stops_inside_a_run_of_last_factors(k4):
+    # the cover completes at (1, 1, 2): its last factor is lane 2 of the run
+    # of degree-1 generators 1..4 after the prefix (1, 1), so the walk
+    # reports 32 of the 110 products checked
+    d = canonical_divisor(k4)
+    gens = generators.elements_below(k4, d, 2)
+    assert [el.degree for el in gens] == [1] * 5 + [2] * 15
+    target = RgdElement(3, RationalFunction((0, 1, 2, 2)))
+    cert = assert_decompose_matches_oracle(target, gens, *summed_products(gens, 3))
+    cert = decompose(target, gens)
+    assert cert.terms == ((0, (0, 0, 0)), (0, (0, 0, 1)), (-1, (1, 1, 2)))
+    assert cert.products_checked == 32 and _count_products([1] * 5 + [2] * 15, 3) == 110
 
 
 def test_decompose_checks_its_product_count():

@@ -12,11 +12,12 @@ from tropdiv.generators import build_gn
 from tropdiv.graphs import Divisor, RationalFunction, build_graph, canonical_divisor, ord_and_div
 from tropdiv.linear_systems import (
     RgdElement, _effective_divisor_matrix, _largest_firing_sets, can_fire, extremals,
-    firing_subsets, is_extremal, odot, oplus, oplus_cover, rgd_enumerate, rgd_member, scale)
+    _lane_width, firing_subsets, is_extremal, odot, oplus, oplus_cover, rgd_enumerate, rgd_member,
+    scale)
 
 from conftest import random_multigraph, run_optimized
-from oracles import (all_firing_subsets, divisor_class_scan, rgd_box_enumerate,
-                     rgd_box_enumerate_fast, two_cover)
+from oracles import (all_firing_subsets, divisor_class_scan, oplus_cover_by_argmin,
+                     rgd_box_enumerate, rgd_box_enumerate_fast, two_cover)
 
 
 def reps(elements):
@@ -298,6 +299,36 @@ def test_oplus_idempotent(rng):
         g = random_multigraph(rng)
         f = RationalFunction(tuple(rng.randint(-4, 4) for _ in range(g.vertex_count)))
         assert oplus(f, f) == f
+
+
+def test_lane_width_keeps_the_guard_bit_clear():
+    # a lane holds values up to its bound below a clear top bit, in whole bytes
+    for bound, width in ((0, 8), (127, 8), (128, 16), (32767, 16), (32768, 24),
+                         (2 ** 64, 72)):
+        assert _lane_width(bound) == width
+        assert bound < 1 << width - 1
+
+
+@pytest.mark.parametrize("scale_by", [1, 40, 2 ** 65 + 3])
+def test_oplus_cover_matches_the_argmin_oracle(rng, scale_by):
+    # every candidate is one lane of a single run; unnormalized, negative and
+    # wider-than-64-bit values shift and widen the lanes
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        offset = rng.randint(-9, 9) * scale_by
+        cands = [[rng.randint(0, 3) * scale_by + offset for _ in range(n)]
+                 for _ in range(rng.randint(0, 7))]
+        target = [rng.randint(0, 4) * scale_by for _ in range(n)]
+        if cands and rng.random() < 0.5:
+            # a shifted tropical sum of some candidates is always covered
+            picked = [(c, rng.randint(-2, 2) * scale_by)
+                      for c in rng.sample(cands, rng.randint(1, len(cands)))]
+            target = [max(c[v] + shift for c, shift in picked) for v in range(n)]
+        expected = oplus_cover_by_argmin(target, cands)
+        assert oplus_cover(target, cands) == expected
+        answers.add(expected is None)
+    assert answers == {True, False}
 
 
 def test_scale_preserves_representative(theta):
