@@ -10,6 +10,7 @@ integer solvability question for the Laplacian, decided here by Smith form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
@@ -102,7 +103,10 @@ class FiniteGraph:
 
     @cached_property
     def laplacian_solver(self):
-        return SmithSolver(self.laplacian)
+        """SmithSolver of the Laplacian, fed its sparse rows: built in
+        O(V + E) from neighbors, with no n x n matrix."""
+        return SmithSolver([{**Counter(ys), x: -len(ys)}
+                            for x, ys in enumerate(self.neighbors)], self.vertex_count)
 
     @cached_property
     def bridges(self):

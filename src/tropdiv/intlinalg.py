@@ -4,12 +4,14 @@ Everything here works over Python ints / Fractions; no floating point.
 The Smith form is the one elimination: it drives integer solvability tests
 (lattice membership), witness recovery for linear equivalence of divisors,
 and the rational rank, kernel and solves of the frac_* helpers.  It works
-on sparse rows and returns sparse factors, so eliminations and solves cost
-about the entries they touch, not n^2 per pivot or per solve.
+on sparse rows, returns V as sparse columns and U as the log of its row
+operations, so eliminations and solves cost about the entries they touch,
+not n^2 per pivot or per solve.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import lcm
@@ -33,13 +35,50 @@ def _axpy(dst, src, q, rows_in=None, r=None):
                 rows_in[c].discard(r)
 
 
-def smith_normal_form(A):
+@dataclass(frozen=True)
+class RowOps:
+    """The unimodular U of a Smith form, kept as the row operations that
+    built it rather than as a matrix.
+
+    Starting from the identity on the input rows, each (t, s, q) in ops
+    subtracted q times row s from row t; then row i of U is signs[i] times
+    the row that started as input row order[i].  A Laplacian's elimination
+    makes a few row operations per row while U itself fills in, so replaying
+    the log costs about the operations, not U's non-zeros.
+    """
+
+    ops: tuple[tuple[int, int, int], ...]
+    order: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def apply(self, b):
+        """U*b as a list: the operations replayed on a copy of b."""
+        y = list(b)
+        for t, s, q in self.ops:
+            if y[s]:
+                y[t] -= q * y[s]
+        return [sign * y[r] for sign, r in zip(self.signs, self.order)]
+
+    def row(self, i):
+        """Row i of U as a dense list: e_i^T U, its operations undone last first."""
+        w = [0] * len(self.order)
+        w[self.order[i]] = self.signs[i]
+        for t, s, q in reversed(self.ops):
+            if w[t]:
+                w[s] -= q * w[t]
+        return w
+
+
+def smith_normal_form(A, n=None):
     """Return (U, diag, V) with U*A*V = S, U and V unimodular, S diagonal.
 
-    A is a sequence of int rows.  The factors are sparse: U is its m rows and
-    V its n columns, each a {index: entry} dict of the non-zero entries, and
-    diag is the min(m, n) diagonal entries of S.  They are nonnegative and
-    each divides the next; past the rank they are 0.
+    A is a sequence of m int rows, or, with the column count n given, of m
+    {column: int} dicts of a sparse matrix's entries.  Either form of one
+    matrix gives the same factors: S is built from the rows in ascending
+    column order, its zero entries dropped.  U is a RowOps log, V is its n
+    columns, each a {index: entry} dict of the non-zero entries, and diag is
+    the min(m, n) diagonal entries of S.  They are nonnegative and each
+    divides the next; past the rank they are 0.
 
     Each pivot is the first entry (row-major) of least absolute value in the
     remaining block.  A unit pivot needs no divisibility sweep.  Rows of S
@@ -52,15 +91,25 @@ def smith_normal_form(A):
     three non-zeros a row.
 
     Entries must be int: with Fraction entries the remainders need not reach
-    zero, so the loop need not end; anything else raises TypeError.
+    zero, so the loop need not end; anything else raises TypeError.  Dense
+    rows have every entry checked, zeros included, and dict rows every
+    stored entry; a dict column outside range(n) raises ValueError.
     """
-    if not set(map(type, chain.from_iterable(A))) <= {int}:
-        raise TypeError("smith_normal_form takes int entries only")
     m = len(A)
-    n = len(A[0]) if m else 0
-    # order[i] is the input row r now at row i; S[r] and U[r] move with it
-    S = [dict(zip(compress(count(), row), filter(None, row))) for row in A]
-    U = [{r: 1} for r in range(m)]
+    if n is None:
+        n = len(A[0]) if m else 0
+        entries = chain.from_iterable(A)
+        S = [dict(zip(compress(count(), row), filter(None, row))) for row in A]
+    else:
+        entries = chain.from_iterable(map(dict.values, A))
+        S = [{c: row[c] for c in sorted(row) if row[c]} for row in A]
+    if not set(map(type, entries)) <= {int}:
+        raise TypeError("smith_normal_form takes int entries only")
+    if not all(0 <= c < n for row in S for c in row):
+        raise ValueError("smith_normal_form: column index out of range")
+    # order[i] is the input row r now at row i; S[r] moves with it.  Each row
+    # operation on S is logged as (target, source, multiplier) for U
+    ops = []
     V = [{c: 1} for c in range(n)]
     rows_in = [set() for _ in range(n)]
     for r, row in enumerate(S):
@@ -91,13 +140,14 @@ def smith_normal_form(A):
             slot[t], slot[pj] = slot[pj], slot[t]
             at[slot[t]], at[slot[pj]] = t, pj
         pr, pc = order[t], slot[t]
-        top, utop = S[pr], U[pr]
+        top = S[pr]
         p = top[pc]
         dirty = False
         for r in [r for r in rows_in[pc] if r != pr]:
             q = S[r][pc] // p
-            _axpy(S[r], top, q, rows_in, r)
-            _axpy(U[r], utop, q)
+            if q:
+                _axpy(S[r], top, q, rows_in, r)
+                ops.append((r, pr, q))
             dirty = dirty or pc in S[r]
         # column t stays fixed while it is added to the others, so only the
         # rows non-zero in it change; once it is clear that is row t of S
@@ -117,16 +167,14 @@ def smith_normal_form(A):
                              if any(a % p for a in S[r].values())), None)
             if offender is not None:
                 _axpy(top, S[offender], -1, rows_in, pr)
-                _axpy(utop, U[offender], -1)
+                ops.append((pr, offender, -1))
                 continue
         t += 1
 
     diag = [S[order[i]].get(slot[i], 0) for i in range(min(m, n))]
-    for i, d in enumerate(diag):
-        if d < 0:
-            diag[i] = -d
-            U[order[i]] = {c: -a for c, a in U[order[i]].items()}
-    return [U[r] for r in order], diag, [V[c] for c in slot]
+    signs = tuple(-1 if d < 0 else 1 for d in diag) + (1,) * (m - len(diag))
+    U = RowOps(tuple(ops), tuple(order), signs)
+    return U, [abs(d) for d in diag], [V[c] for c in slot]
 
 
 def _combine(coeffs, columns, n):
@@ -143,51 +191,50 @@ def _combine(coeffs, columns, n):
 class SmithSolver:
     """Caches the Smith form of an integer matrix to answer Ax = b queries.
 
-    With U A V = S, b lies in the image of A exactly when U b is divisible
-    entrywise by the diagonal of S (a zero entry must meet a zero).  Rows of
-    U whose invariant factor is 1 impose nothing, so ``cokernel_rows`` keeps
-    the others as (row, modulus) pairs, the row a dense list and the modulus
-    the invariant factor, or 0 for the rows past the rank.  The first rank
-    rows of U stay sparse rows and V sparse columns, so a solve reads only
-    the entries of U in b's support columns and the columns of V with
-    y_i != 0.  Nothing n x n is built: a Laplacian's U has far fewer
-    non-zeros, and the right-hand sides are differences of divisors with
-    a few chips.
+    A is given as smith_normal_form takes it: int rows, or {column: int}
+    rows with the column count n.  With U A V = S, b lies in the image of A
+    exactly when U b is divisible entrywise by the diagonal of S (a zero
+    entry must meet a zero).  Rows of U whose invariant factor is 1 impose
+    nothing, so ``cokernel_rows`` keeps the others as (row, modulus) pairs,
+    the row a dense list read off the row-operation log and the modulus the
+    invariant factor, or 0 for the rows past the rank.  A solve replays the
+    log on b to get U b and combines the columns of V with y_i != 0.
+    Nothing n x n is built: a Laplacian's elimination logs a few operations
+    a row, and V stays sparse columns.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, n=None):
         self.m = len(A)
-        self.n = len(A[0]) if self.m else 0
-        U, self.diag, self.V = smith_normal_form(A)
+        self.U_ops, self.diag, self.V = smith_normal_form(A, n)
+        self.n = len(self.V)
         self.rank = sum(1 for d in self.diag if d != 0)
         moduli = self.diag[:self.rank] + [0] * (self.m - self.rank)
-        self.cokernel_rows = tuple(([row.get(j, 0) for j in range(self.m)], d)
-                                   for row, d in zip(U, moduli) if d != 1)
-        self.U = U[:self.rank]
+        self.cokernel_rows = tuple((self.U_ops.row(i), d)
+                                   for i, d in enumerate(moduli) if d != 1)
 
-    def _support(self, b):
+    def _check_length(self, b):
         if len(b) != self.m:
             raise ValueError("right-hand side has wrong length")
-        return [(j, x) for j, x in enumerate(b) if x]
 
-    def _meets_cokernel(self, support):
+    def in_image(self, b):
+        """Whether A x = b has an integer solution."""
+        self._check_length(b)
+        support = [(j, x) for j, x in enumerate(b) if x]
         for row, d in self.cokernel_rows:
             c = sum(row[j] * x for j, x in support)
             if (c % d if d else c) != 0:
                 return False
         return True
 
-    def in_image(self, b):
-        """Whether A x = b has an integer solution."""
-        return self._meets_cokernel(self._support(b))
-
     def solve(self, b):
         """Return integer x with A x = b, or None when no integer solution exists."""
-        support = self._support(b)
-        if not self._meets_cokernel(support):
+        self._check_length(b)
+        c = self.U_ops.apply(b)
+        r = self.rank
+        s = self.diag[:r]
+        if any(c[r:]) or any(ci % d for ci, d in zip(c, s)):
             return None
-        c = [sum([row.get(j, 0) * x for j, x in support]) for row in self.U]
-        return _combine([ci // d for ci, d in zip(c, self.diag)], self.V, self.n)
+        return _combine([ci // d for ci, d in zip(c, s)], self.V, self.n)
 
 
 def _integer_rows(rows):
@@ -231,8 +278,7 @@ def frac_solve(A, b):
     n = len(A[0]) if A else 0
     Ab = _integer_rows([list(row) + [y] for row, y in zip(A, b)])
     U, diag, V = smith_normal_form([row[:n] for row in Ab] or [[0] * n])
-    rhs = [row[n] for row in Ab]
-    c = [sum(a * rhs[j] for j, a in row.items()) for row in U]
+    c = U.apply([row[n] for row in Ab])
     r = _rank(diag)
     if any(c[r:]):
         return None

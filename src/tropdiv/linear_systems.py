@@ -314,9 +314,10 @@ def is_extremal(graph, divisor, f, budget=DEFAULT_BUDGET):
     for a in _largest_firing_sets(graph, e.coeffs):
         for b in masks:
             if a | b == full:
+                # fire each set: its indicator drop is 0 on it and -1 off it
                 for m in (a, b):
-                    s = frozenset(x for x in range(n) if m >> x & 1)
-                    if not 0 < len(s) < n or not can_fire(graph, e, s):
+                    drop = _of_ints(RationalFunction, tuple((m >> x & 1) - 1 for x in range(n)))
+                    if not 0 < m < full or not rgd_member(graph, e, drop):
                         raise CertificateError("covering pair fails the firing replay")
                 return False
         masks.append(a)

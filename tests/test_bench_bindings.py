@@ -4,13 +4,15 @@ bench/tracing.py wraps its TARGETS and COUNTED entries, and
 bench/selftest.py expects every COPIES binding to be one of them.  A
 refactor that renames or drops one of those functions breaks `--trace 1`
 without failing anything else, so these tests resolve every name against
-the loaded package.  The last test replays every benchmark job in process
-under the tracer and checks its output with the harness's own checks.
-All of them read bench/ and write nothing there.
+the loaded package.  The replay test runs every benchmark job in process
+under the tracer and checks its output with the harness's own checks, and
+the last test replays two jobs with the dense Laplacian refused.  All of
+them read bench/ and write nothing there.
 """
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -21,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import tropdiv.cli  # noqa: F401  (loads every tropdiv module)
+import tropdiv.intlinalg
+from tropdiv.graphs import FiniteGraph
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -108,3 +112,34 @@ def test_bench_jobs_replay_under_the_tracer(name, tmp_path):
         tracer.restore()
     assert [layer for layer in workload.reaches
             if tracer.stats.get(layer, {}).get("calls", 0) == 0] == []
+
+
+def test_laplacian_solves_build_no_dense_laplacian(tmp_path, monkeypatch):
+    # the solver path feeds smith_normal_form the Laplacian's sparse rows:
+    # with the dense matrix refused, the K_5 s=2 witness and rgd on G_4 still
+    # print their pinned bytes, and U of the 385-vertex refined K_5 model is
+    # a log of exactly 809 row operations
+    def refuse(graph):
+        raise AssertionError("the dense Laplacian was built on the solver path")
+
+    monkeypatch.setattr(FiniteGraph, "laplacian", property(refuse))
+    log_lengths = {}
+    original = tropdiv.intlinalg.smith_normal_form
+
+    def logged(a, *args, **kwargs):
+        factors = original(a, *args, **kwargs)
+        log_lengths[len(a)] = len(factors[0].ops)
+        return factors
+
+    monkeypatch.setattr(tropdiv.intlinalg, "smith_normal_form", logged)
+    for name, job_name in (("metric-kn", "witness-K5-s2"), ("finite-gn", "rgd-G4-m3")):
+        workload = workloads.WORKLOADS[name]
+        (tmp_path / name).mkdir()
+        _, paths = workloads.write_inputs(workload, workloads.DEFAULT_SEED, 0, tmp_path / name)
+        job = next(job for job in workload.jobs if job.name == job_name)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert tropdiv.cli.main(workloads.job_argv(job, paths)) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+            workloads.PINNED_SHA256[f"{name}/{job_name}"]
+    assert log_lengths[385] == 809

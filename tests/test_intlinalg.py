@@ -1,15 +1,18 @@
 import itertools
+import random
 import signal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from tropdiv.graphs import build_graph
 from tropdiv.intlinalg import (SmithSolver, frac_nullspace, frac_rank, frac_solve,
                                smith_normal_form)
 from tropdiv.metric import MetricDivisor, Refinement
 from tropdiv.witness import complete_graph_instance
 
+from conftest import random_multigraph
 from oracles import dense_smith_form, det, mat_vec, rank_by_minors
 
 
@@ -54,13 +57,14 @@ def in_column_lattice(A, b):
 
 
 def densified(A, factors):
-    """smith_normal_form's sparse (U rows, diagonal, V columns) as dense
-    (U, S, V) lists, after checking that the dicts store no zero entry."""
+    """smith_normal_form's (U's row-operation log, diagonal, V columns) as
+    dense (U, S, V) lists, U read off the log row by row, after checking
+    that V's dicts store no zero entry."""
     U, diag, V = factors
     m, n = len(A), len(A[0])
-    assert len(U) == m and len(V) == n and len(diag) == min(m, n)
-    assert all(a != 0 for part in (U, V) for entries in part for a in entries.values())
-    return ([[row.get(j, 0) for j in range(m)] for row in U],
+    assert len(U.order) == m and len(V) == n and len(diag) == min(m, n)
+    assert all(a != 0 for entries in V for a in entries.values())
+    return ([U.row(i) for i in range(m)],
             [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)],
             [[col.get(i, 0) for col in V] for i in range(n)])
 
@@ -114,11 +118,16 @@ def test_smith_normal_form_without_unit_entries(rng):
     assert len(seen) > 5
 
 
+def refined_graph(n, offset):
+    """The model of K_n refined to the grid of the point at offset on edge 0."""
+    graph = complete_graph_instance(n).graph
+    r = MetricDivisor.of(graph, {graph.point(0, offset): 1})
+    return Refinement(graph, [r]).graph
+
+
 def refined_k4_laplacian():
     # the K_4 s=2 obstruction rows live on the 1/15 grid: 4 + 6*14 vertices
-    graph = complete_graph_instance(4).graph
-    r = MetricDivisor.of(graph, {graph.point(0, Fraction(8, 15)): 1})
-    return Refinement(graph, [r]).graph.laplacian
+    return refined_graph(4, Fraction(8, 15)).laplacian
 
 
 def test_smith_normal_form_of_refined_laplacian():
@@ -144,6 +153,97 @@ def test_smith_normal_form_leaves_its_argument_unchanged(rng):
         copy = [list(row) for row in A]
         assert smith_normal_form(rows) == smith_normal_form(copy)
         assert rows == tuple(map(tuple, A)) and copy == [list(row) for row in A]
+
+
+def graph_models():
+    """Refined K_4 and K_5 models, random multigraphs with loops and
+    parallel edges, and the one-vertex loop graph."""
+    rng = random.Random(20240309)
+    graphs = [refined_graph(4, Fraction(8, 15)), refined_graph(5, Fraction(1, 3)),
+              refined_graph(5, Fraction(2, 39)), build_graph(1, [(0, 0)])]
+    graphs += [random_multigraph(rng, max_vertices=7, max_extra=6) for _ in range(40)]
+    assert any(len(set(g.edges)) < len(g.edges) for g in graphs)
+    assert any(u == v for g in graphs for u, v in g.edges)
+    return graphs
+
+
+def sparse_rows(rng, A):
+    """A's rows as {column: entry} dicts in shuffled column order, some
+    zero entries stored."""
+    rows = []
+    for row in A:
+        keys = [j for j, a in enumerate(row) if a or rng.random() < 0.2]
+        rng.shuffle(keys)
+        rows.append({j: row[j] for j in keys})
+    return rows
+
+
+def test_dict_rows_give_the_dense_factors(rng):
+    # equal logs, diagonals and V columns; small matrices also against the
+    # dense oracle entry for entry, and U*A*V = S
+    matrices = random_matrices(rng, 200) + [
+        [[rng.choice(NON_UNITS) for _ in range(n)] for _ in range(m)]
+        for m, n in [(1, 5), (5, 1), (7, 7), (6, 3), (4, 6)]]
+    graphs = graph_models()
+    for A in matrices + [g.laplacian for g in graphs]:
+        m, n = len(A), len(A[0])
+        factors = smith_normal_form(sparse_rows(rng, A), n)
+        assert factors == smith_normal_form(A)
+        if m <= 100:
+            U, S, V = densified(A, factors)
+            assert (U, S, V) == dense_smith_form(A)
+            assert mat_mul(mat_mul(U, A), V) == S
+    assert max(len(g.laplacian) for g in graphs) == 385
+
+
+def test_row_ops_apply_is_U_times_b(rng):
+    graphs = graph_models()
+    for A in random_matrices(rng, 120) + [g.laplacian for g in graphs[:2]]:
+        U = smith_normal_form(A)[0]
+        dense = [U.row(i) for i in range(len(A))]
+        for _ in range(3):
+            b = [rng.randint(-5, 5) for _ in A]
+            copy = list(b)
+            assert U.apply(b) == mat_vec(dense, b)
+            assert b == copy
+
+
+def test_laplacian_solver_from_sparse_rows_matches_the_dense_laplacian(rng):
+    seen = set()
+    for g in graph_models():
+        n = g.vertex_count
+        fast, dense = g.laplacian_solver, SmithSolver(g.laplacian)
+        assert (fast.diag, fast.rank, fast.cokernel_rows) == \
+            (dense.diag, dense.rank, dense.cokernel_rows)
+        for _ in range(8):
+            b = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                b[rng.randrange(n)] += rng.choice((1, -1, 2))
+            if rng.random() < 0.5:
+                b = mat_vec(g.laplacian, [rng.randint(-3, 3) for _ in range(n)])
+            x = fast.solve(b)
+            assert x == dense.solve(b)
+            assert fast.in_image(b) == dense.in_image(b) == (x is not None)
+            if x is not None:
+                assert mat_vec(g.laplacian, x) == b
+            seen.add(x is not None)
+    assert seen == {True, False}
+
+
+def test_dict_rows_are_left_unmutated_and_type_checked():
+    rows = ({2: 1, 0: -1, 1: 0}, {0: 2, 2: -4})
+    copy = tuple(dict(row) for row in rows)
+    assert smith_normal_form(rows, 3) == smith_normal_form([[-1, 0, 1], [2, 0, -4]])
+    assert rows == copy and [list(row) for row in rows] == [[2, 0, 1], [0, 2]]
+    for bad in ({0: 1, 1: Fraction(1, 2)}, {0: 1.0}, {1: 0.0}, {0: True}):
+        with pytest.raises(TypeError, match="int entries"):
+            smith_normal_form([{0: 1}, bad], 2)
+    for bad in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="column"):
+            smith_normal_form([{0: 1}, bad], 2)
+    # dense rows have every entry checked, zeros included
+    with pytest.raises(TypeError, match="int entries"):
+        smith_normal_form([[1, 0.0]])
 
 
 def oracle_solve(A, b):
