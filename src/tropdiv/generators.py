@@ -5,7 +5,7 @@ The degree-m component embeds as the height-m lattice points of the cone
 cone is pointed.  It is simplicial, one extreme ray per vertex, so Gordan's
 construction (lattice points of the one parallelepiped spanned by the rays,
 reduced to irreducibles) yields a finite generating set for the
-lattice-point monoid, hence for the semi-ring.  The parallelepiped is walked
+lattice-point monoid, hence for the semi-ring.  The parallelepiped is streamed
 and reduced in the rays' own coordinates, where lying in the cone is
 componentwise nonnegativity; only the irreducibles become points.
 
@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
-from operator import ge, itemgetter, mul, sub
+from operator import ge, mul, sub
 
 from .budget import DEFAULT_BUDGET
 from .errors import (CertificateError, DegenerateCone, InputError,
@@ -104,58 +104,53 @@ def extreme_rays(cone):
 def _parallelepiped_points(rays, budget):
     """Non-zero classes of {sum t_j r_j : t_j in [0,1)} in ray coordinates.
 
-    Returns (top, classes): each class is (h, t_1, ..., t_k) with t_j the
-    numerator of the j-th ray coordinate over top = s_k and h = sum t_j
-    height(r_j), top times the point's height (its last coordinate).
-    Dependent rays give (0, []).  With U R V = S the Smith form of the ray
-    matrix R and s_1 | ... | s_k its invariant factors, the integer points of
-    the rays' span are R V (z / s) for integer z, so the residue classes
-    modulo the ray lattice are z in prod range(s_i) with ray coordinates
-    t = V (z / s), reduced into [0, 1).  No point is built: the caller
-    rebuilds the ones it keeps as R t / top.
+    Returns (top, classes), classes a lazy stream of the tuples t of ray
+    coordinate numerators over top = s_k; the Smith form and the class-count
+    check run in the call itself.  Dependent rays give (0, ()).  With U R V = S
+    the Smith form of the ray matrix R and s_1 | ... | s_k its invariant
+    factors, the integer points of the rays' span are R V (z / s) for
+    integer z, so the residue classes modulo the ray lattice are
+    z in prod range(s_i) with ray coordinates t = V (z / s), reduced into
+    [0, 1).  No point is built: the caller rebuilds the ones it keeps as
+    R t / top.
     """
     k = len(rays)
     d = len(rays[0])
     _, diag, V = smith_normal_form([[rays[j][i] for j in range(k)] for i in range(d)])
     if k > d or diag[k - 1] == 0:
-        return 0, []
+        return 0, ()
     budget.check_count(prod(diag), budget.max_lattice_candidates, "parallelepiped classes")
     top = diag[-1]
-    heights = [r[-1] for r in rays]
     # only the non-unit factors carry a non-zero z_i.  Stepping z_i, a wrap
-    # included (s_i times column i of V scaled to s_k is 0 mod s_k), adds that
-    # column to t mod s_k and its height to h, less top * height(r_j) for
-    # each t_j that wraps
+    # included (s_i times column i of V scaled to s_k is 0 mod s_k), adds
+    # that column to t mod s_k
     factors = []
     steps = []
     for i, s in enumerate(diag):
         if s > 1:
             col = [V[i].get(j, 0) * (top // s) % top for j in range(k)]
             factors.append(s)
-            steps.append([(j, cj, cj * heights[j], top * heights[j])
-                          for j, cj in enumerate(col) if cj])
-    t = [0] * k
-    h = 0
-    z = [0] * len(factors)
-    classes = []
-    # an odometer over z, last digit fastest, from the class of 0 (not a point)
-    for _ in range(prod(factors) - 1):
-        i = len(factors) - 1
-        while True:
-            for j, cj, up, wrap in steps[i]:
-                tj = t[j] + cj
-                h += up
-                if tj >= top:
-                    tj -= top
-                    h -= wrap
-                t[j] = tj
-            z[i] += 1
-            if z[i] < factors[i]:
-                break
-            z[i] = 0
-            i -= 1
-        classes.append((h, *t))
-    return top, classes
+            steps.append([(j, cj) for j, cj in enumerate(col) if cj])
+
+    def walk():
+        t = [0] * k
+        z = [0] * len(factors)
+        # an odometer over z, last digit fastest, from the class of 0 (not
+        # a point)
+        for _ in range(prod(factors) - 1):
+            i = len(factors) - 1
+            while True:
+                for j, cj in steps[i]:
+                    tj = t[j] + cj
+                    t[j] = tj - top if tj >= top else tj
+                z[i] += 1
+                if z[i] < factors[i]:
+                    break
+                z[i] = 0
+                i -= 1
+            yield tuple(t)
+
+    return top, walk()
 
 
 @dataclass(frozen=True)
@@ -185,35 +180,41 @@ def hilbert_basis(cone, budget=DEFAULT_BUDGET):
     Dependent rays would leave points uncovered and raise CertificateError.
     The candidates stay in ray coordinates t (over the common denominator
     top, a ray being top times a unit vector), where c - a lies in the cone
-    exactly when t_c >= t_a componentwise.  They are walked by height and
-    kept unless they dominate a kept one: in a pointed cone a reducible
-    candidate is a lower-height irreducible plus a cone point, and two
-    distinct points of equal height never dominate each other, since every
-    ray has positive height.  Only the kept t are rebuilt as points R t / top.
+    exactly when t_c >= t_a componentwise, so the irreducibles are the
+    minimal candidates under that order, whatever order they arrive in.
+    The classes are filtered into that antichain as the walk streams them,
+    so memory grows with the antichain: a class that dominates a kept one
+    is dropped, and any other evicts the kept classes that dominate it and
+    is kept.  An eviction loses nothing, since a later class that dominates
+    the evicted one also dominates the class that evicted it.  The rays
+    skip the filter: no class dominates a ray top e_j, its every t_j being
+    below top, and none lies below one, a primitive ray holding no lattice
+    point strictly between 0 and itself.  Only the kept t are rebuilt as
+    points R t / top.
     """
     rays = extreme_rays(cone)
     if frac_rank(rays) != len(rays):
         raise CertificateError("the cone's extreme rays are linearly dependent")
     if not rays:  # a cone of negative degree is the origin alone
         return GeneratorSet(cone.graph, cone.divisor, ())
-    top, candidates = _parallelepiped_points(rays, budget)
-    k = len(rays)
-    candidates += [(top * r[-1],) + (0,) * j + (top,) + (0,) * (k - 1 - j)
-                   for j, r in enumerate(rays)]
-    # sorted on h alone, since equal heights never dominate each other; a kept
-    # candidate's h is at most the current one's, so comparing h too is harmless
-    candidates.sort(key=itemgetter(0))
+    top, classes = _parallelepiped_points(rays, budget)
     kept = []
-    for c in candidates:
-        for a in kept:
+    for c in classes:
+        for i, a in enumerate(kept):
             if all(map(ge, c, a)):
+                # a kept class that drops one tends to drop the next too
+                if i:
+                    kept.insert(0, kept.pop(i))
                 break
         else:
+            kept = [a for a in kept if not all(map(ge, a, c))]
             kept.append(c)
+    k = len(rays)
+    kept += [(0,) * j + (top,) + (0,) * (k - 1 - j) for j in range(k)]
 
     R = list(zip(*rays))  # the rays as columns
     elements = []
-    for _, *t in kept:
+    for t in kept:
         y = []
         for row in R:
             x, rem = divmod(sum(map(mul, row, t)), top)

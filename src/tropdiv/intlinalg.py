@@ -216,16 +216,6 @@ class SmithSolver:
         if len(b) != self.m:
             raise ValueError("right-hand side has wrong length")
 
-    def in_image(self, b):
-        """Whether A x = b has an integer solution."""
-        self._check_length(b)
-        support = [(j, x) for j, x in enumerate(b) if x]
-        for row, d in self.cokernel_rows:
-            c = sum(row[j] * x for j, x in support)
-            if (c % d if d else c) != 0:
-                return False
-        return True
-
     def solve(self, b):
         """Return integer x with A x = b, or None when no integer solution exists."""
         self._check_length(b)

@@ -154,6 +154,20 @@ def rgd_box_enumerate_fast(graph, divisor):
     return frozenset(out)
 
 
+def in_image(solver, b):
+    """Whether A x = b has an integer solution, read off the SmithSolver's
+    cokernel rows alone: each row's value on b must vanish modulo its
+    invariant factor (exactly, for the rows past the rank)."""
+    if len(b) != solver.m:
+        raise ValueError("right-hand side has wrong length")
+    support = [(j, x) for j, x in enumerate(b) if x]
+    for row, d in solver.cokernel_rows:
+        c = sum(row[j] * x for j, x in support)
+        if (c % d if d else c) != 0:
+            return False
+    return True
+
+
 def divisor_class_scan(graph, divisor):
     """Every effective divisor of degree deg(D) linearly equivalent to D, as the
     sorted tuple of its chips' vertices: all C(n+d-1, d) candidates, each
@@ -168,7 +182,7 @@ def divisor_class_scan(graph, divisor):
         coeffs = [0] * n
         for v in combo:
             coeffs[v] += 1
-        if solver.in_image([a - b for a, b in zip(coeffs, divisor.coeffs)]):
+        if in_image(solver, [a - b for a, b in zip(coeffs, divisor.coeffs)]):
             out.append(combo)
     return out
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from math import prod
 
 import pytest
@@ -17,7 +19,7 @@ from tropdiv.generators import (
 
 from conftest import random_multigraph, run_optimized
 from oracles import (brute_force_hilbert_basis, degree_exact_products,
-                     extreme_rays_by_facets, hilbert_basis_by_slack,
+                     extreme_rays_by_facets, hilbert_basis_by_slack, in_image,
                      monoid_certificate_by_search, oplus_cover_by_argmin,
                      parallelepiped_point_walk, parallelepiped_points, rank_by_minors,
                      sufficient_box)
@@ -86,7 +88,7 @@ def test_extreme_rays_are_the_vertex_kernels(rng):
                 assert slack[v] == ray[-1] * degree
                 shifted = divisor - Divisor.of(n, {v: degree})
                 height = next(m for m in itertools.count(1)
-                              if graph.laplacian_solver.in_image((m * shifted).coeffs))
+                              if in_image(graph.laplacian_solver, (m * shifted).coeffs))
                 assert ray[-1] == height
                 supports.add(v)
             assert supports == set(range(n))
@@ -177,8 +179,8 @@ def test_hilbert_basis_factors_one_kernel_per_vertex(theta, k4, name, smith_call
 
 def test_parallelepiped_points_match_oracle(rng):
     # random ray sets up to 5 x 5 whose bounding box (the oracle's scan, at
-    # one rational solve per point) has at most 2,000 points.  Each class
-    # (h, t) rebuilds to the point R t / s_k of height h / s_k
+    # one rational solve per point) has at most 2,000 points.  Each class t
+    # rebuilds to the point R t / s_k
     seen = {"k < d": 0, "5 x 5": 0, "non-unit": 0, "two non-unit": 0, "dependent": 0}
     handmade = [[(2, 0), (0, 2)], [(2, 0, 0), (0, 2, 0)], [(1, 2), (3, 4)],
                 [(2, 0, 0), (0, 4, 0), (0, 0, 6)], [(1, 1, 0), (1, -1, 0), (0, 0, 3)],
@@ -199,19 +201,18 @@ def test_parallelepiped_points_match_oracle(rng):
         k, d = len(rays), len(rays[0])
         top, classes = _parallelepiped_points(rays, Budget())
         if rank_by_minors(rays) < k:
-            assert (top, classes) == (0, [])
+            assert top == 0 and list(classes) == []
             assert parallelepiped_point_walk(rays) == []
             seen["dependent"] += 1
             continue
         _, diag, _ = smith_normal_form([[r[c] for r in rays] for c in range(d)])
         assert top == diag[k - 1]
         points = []
-        for h, *t in classes:
-            assert all(0 <= tj < top for tj in t)
+        for t in classes:
+            assert len(t) == k and all(0 <= tj < top for tj in t)
             sums = [sum(tj * r[c] for tj, r in zip(t, rays)) for c in range(d)]
             assert all(v % top == 0 for v in sums)
             points.append(tuple(v // top for v in sums))
-            assert h == top * points[-1][-1]
         assert len(points) == len(set(points)) == prod(diag[:k]) - 1
         assert set(points) == parallelepiped_points(rays)
         assert sorted(parallelepiped_point_walk(rays)) == sorted(points)
@@ -225,18 +226,15 @@ def test_parallelepiped_points_match_oracle(rng):
 
 def test_parallelepiped_budget_counts_classes():
     rays = [(2, 0, 0), (0, 2, 0), (0, 0, 3)]
-    assert len(_parallelepiped_points(rays, Budget(max_lattice_candidates=12))[1]) == 11
+    assert len(list(_parallelepiped_points(rays, Budget(max_lattice_candidates=12))[1])) == 11
+    # the cap raises in the call itself, before any class is drawn
     with pytest.raises(BudgetExceeded):
         _parallelepiped_points(rays, Budget(max_lattice_candidates=11))
 
 
-def test_hilbert_basis_matches_the_slack_oracle(rng):
-    # random multigraphs with K, 2K and divisors of negative, zero and
-    # positive degree: the same elements, or the same exception (a cone past
-    # the class cap raises BudgetExceeded on both sides)
-    budget = Budget(max_lattice_candidates=3000)
-    outcomes = {"basis": 0, "BudgetExceeded": 0}
-    signs = set()
+def random_cones(rng):
+    """The cones of 100 random multigraphs, each with K, 2K and divisors of
+    negative, zero and positive degree."""
     for _ in range(100):
         graph = random_multigraph(rng)
         n = graph.vertex_count
@@ -246,20 +244,74 @@ def test_hilbert_basis_matches_the_slack_oracle(rng):
             coeffs[0] += degree - sum(coeffs)
             divisors.append(Divisor(tuple(coeffs)))
         for divisor in divisors:
-            cone = graded_cone(graph, divisor)
-            try:
-                expected = hilbert_basis_by_slack(cone, budget)
-            except BudgetExceeded as exc:
-                with pytest.raises(BudgetExceeded, match=str(exc)):
-                    hilbert_basis(cone, budget)
-                outcomes["BudgetExceeded"] += 1
-                continue
-            assert hilbert_basis(cone, budget) == expected
-            outcomes["basis"] += 1
-            degree = divisor.degree()
-            signs.add((degree > 0) - (degree < 0))
+            yield graded_cone(graph, divisor)
+
+
+def test_hilbert_basis_matches_the_slack_oracle(rng):
+    # the same elements, or the same exception (a cone past the class cap
+    # raises BudgetExceeded on both sides)
+    budget = Budget(max_lattice_candidates=3000)
+    outcomes = {"basis": 0, "BudgetExceeded": 0}
+    signs = set()
+    for cone in random_cones(rng):
+        try:
+            expected = hilbert_basis_by_slack(cone, budget)
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded, match=str(exc)):
+                hilbert_basis(cone, budget)
+            outcomes["BudgetExceeded"] += 1
+            continue
+        assert hilbert_basis(cone, budget) == expected
+        outcomes["basis"] += 1
+        degree = cone.divisor.degree()
+        signs.add((degree > 0) - (degree < 0))
     assert signs == {-1, 0, 1}
     assert all(outcomes.values()), outcomes
+
+
+def test_hilbert_basis_is_independent_of_the_class_order(rng, monkeypatch):
+    # the kept classes are the minimal ones under componentwise order, which
+    # no order of the stream changes: a shuffled and a reversed walk each
+    # give the oracle's basis on H, K_{3,3} and the random cones
+    walk = generators._parallelepiped_points
+    reorders = (random.Random(5).shuffle, list.reverse)
+
+    def reordered(rays, budget):
+        top, classes = walk(rays, budget)
+        classes = list(classes)
+        reorder(classes)
+        return top, iter(classes)
+
+    monkeypatch.setattr(generators, "_parallelepiped_points", reordered)
+    h = build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    cases = [(graded_cone(g, canonical_divisor(g)), Budget()) for g in (h, k33)]
+    cases += [(cone, Budget(max_lattice_candidates=3000)) for cone in random_cones(rng)]
+    compared = 0
+    for cone, budget in cases:
+        try:
+            expected = hilbert_basis_by_slack(cone, budget)
+        except BudgetExceeded:
+            continue
+        for reorder in reorders:
+            assert hilbert_basis(cone, budget) == expected
+        compared += 1
+    assert compared > 400
+
+
+def test_hilbert_basis_memory_grows_with_the_antichain():
+    # K_{3,3}'s 69,983 classes stream through the filter, which holds at
+    # most a few hundred of them; the cone (and so the Laplacian solver) is
+    # built before tracing starts
+    graph = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    cone = graded_cone(graph, canonical_divisor(graph))
+    tracemalloc.start()
+    try:
+        hilbert_basis(cone)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("name, classes, size", [
@@ -281,8 +333,13 @@ def test_hilbert_basis_reduces_in_ray_coordinates(theta, k4, monkeypatch, name, 
 
     def counted_walk(rays, budget):
         top, found = walk(rays, budget)
-        walked.append(len(found))
-        return top, found
+        walked.append(0)
+
+        def counted():
+            for t in found:
+                walked[-1] += 1
+                yield t
+        return top, counted()
 
     def counted_lift(cone, y):
         rebuilt.append(tuple(y))
@@ -753,10 +810,11 @@ def test_hilbert_basis_rebuild_check_survives_optimized_mode():
         "import tropdiv.generators as gen\n"
         "from tropdiv.errors import CertificateError\n"
         "from tropdiv.graphs import build_graph, canonical_divisor\n"
+        "import itertools\n"
         "walk = gen._parallelepiped_points\n"
         "def patched(rays, budget):\n"
         "    top, classes = walk(rays, budget)\n"
-        "    return top, classes + [(rays[0][-1], 1) + (0,) * (len(rays) - 1)]\n"
+        "    return top, itertools.chain(classes, [(1,) + (0,) * (len(rays) - 1)])\n"
         "gen._parallelepiped_points = patched\n"
         "theta = build_graph(2, [(0, 1)] * 3)\n"
         "try:\n"

@@ -13,7 +13,7 @@ from tropdiv.metric import MetricDivisor, Refinement
 from tropdiv.witness import complete_graph_instance
 
 from conftest import random_multigraph
-from oracles import dense_smith_form, det, mat_vec, rank_by_minors
+from oracles import dense_smith_form, det, in_image, mat_vec, rank_by_minors
 
 
 def mat_mul(A, B):
@@ -223,7 +223,7 @@ def test_laplacian_solver_from_sparse_rows_matches_the_dense_laplacian(rng):
                 b = mat_vec(g.laplacian, [rng.randint(-3, 3) for _ in range(n)])
             x = fast.solve(b)
             assert x == dense.solve(b)
-            assert fast.in_image(b) == dense.in_image(b) == (x is not None)
+            assert in_image(fast, b) == in_image(dense, b) == (x is not None)
             if x is not None:
                 assert mat_vec(g.laplacian, x) == b
             seen.add(x is not None)
@@ -269,7 +269,7 @@ def test_solve_is_the_oracle_formula(rng):
             b[rng.randrange(len(A))] += rng.randint(1, 3)
         got = solver.solve(b)
         assert got == oracle_solve(A, b)
-        assert solver.in_image(b) == (got is not None)
+        assert in_image(solver, b) == (got is not None)
         seen.add(got is not None)
     assert seen == {True, False}
 
@@ -284,7 +284,7 @@ def test_image_test_agrees_with_solve_and_lattice_oracle(rng):
             b = mat_vec(A, [rng.randint(-3, 3) for _ in range(n)])
             if rng.random() < 0.5:
                 b[rng.randrange(m)] += rng.randint(1, 3)
-            member = solver.in_image(b)
+            member = in_image(solver, b)
             x = solver.solve(b)
             assert member == (x is not None) == in_column_lattice(A, b)
             if x is not None:

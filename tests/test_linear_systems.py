@@ -16,8 +16,9 @@ from tropdiv.linear_systems import (
     scale)
 
 from conftest import random_multigraph, run_optimized
-from oracles import (all_firing_subsets, divisor_class_scan, oplus_cover_by_argmin,
-                     rgd_box_enumerate, rgd_box_enumerate_fast, two_cover)
+from oracles import (all_firing_subsets, divisor_class_scan, in_image,
+                     oplus_cover_by_argmin, rgd_box_enumerate, rgd_box_enumerate_fast,
+                     two_cover)
 
 
 def reps(elements):
@@ -183,7 +184,7 @@ def test_class_walk_lists_only_members():
     assert len(rows) == 1320
     assert rows == sorted(rows, reverse=True)
     solver = g.laplacian_solver
-    assert all(min(row) >= 0 and solver.in_image([a - b for a, b in zip(row, d.coeffs)])
+    assert all(min(row) >= 0 and in_image(solver, [a - b for a, b in zip(row, d.coeffs)])
                for row in rows)
 
 
