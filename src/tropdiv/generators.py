@@ -308,18 +308,6 @@ def _gen_elements(gens):
     return list(gens)
 
 
-def _count_products(degrees, total):
-    """Number of multisets of generator indices with degree sum exactly
-    total: the coefficient of x^total in the product of 1 / (1 - x^d) over
-    the degrees d in [1, total]."""
-    ways = [1] + [0] * total
-    for d in degrees:
-        if 0 < d <= total:
-            for t in range(d, total + 1):
-                ways[t] += ways[t - d]
-    return ways[total]
-
-
 def decompose(target, gens, budget=DEFAULT_BUDGET):
     """Decide whether the target lies in the sub-semi-ring generated by gens.
 
@@ -341,8 +329,8 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     degrees left, up to its next prefix factor, are one run of lanes:
     _cover_lanes tests the whole run in a few integer operations per
     vertex, taking hits lowest lane first exactly as one product at a time
-    would.  A negative answer still counts the products against
-    _count_products.
+    would.  One reverse pass finds the factors that can be completed and
+    counts the products; a negative answer must have checked them all.
     """
     elements = _gen_elements(gens)
     if any(len(el.function.values) != len(target.function.values) for el in elements):
@@ -357,15 +345,13 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
     # a degree outside 1..m is in no product; as m + 1 it stays out of every
     # table below, while terms still index the caller's list
     degrees = [el.degree if 0 < el.degree <= m else m + 1 for el in elements]
-    n_products = _count_products(degrees, m)
-    budget.check_count(n_products, budget.max_products, "degree-exact products")
 
     # with r degrees left, the next factor is a last one of degree exactly r
     # (leaves[r], the lanes of columns[r]) or a prefix factor that some index
     # at least as large completes (prefixes[r], closed by the sentinel len);
-    # a reverse pass keeps fits[r]: some generators of index >= i have
-    # degrees summing to exactly r
-    fits = [r == 0 for r in range(m + 1)]
+    # a reverse pass keeps ways[r]: the number of products of degree exactly
+    # r over the generators of index >= i
+    ways = [1] + [0] * m
     leaves = [[] for _ in range(m + 1)]
     prefixes = [[] for _ in range(m + 1)]
     for i in reversed(range(len(degrees))):
@@ -373,9 +359,11 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
         if d <= m:
             leaves[d].append(i)
         for r in range(d, m + 1):
-            fits[r] = fits[r] or fits[r - d]
-            if r > d and fits[r - d]:
+            ways[r] += ways[r - d]
+            if r > d and ways[r - d]:
                 prefixes[r].append(i)
+    n_products = ways[m]
+    budget.check_count(n_products, budget.max_products, "degree-exact products")
     for row in leaves + prefixes:
         row.reverse()
     for row in prefixes:
@@ -410,7 +398,7 @@ def decompose(target, gens, budget=DEFAULT_BUDGET):
         else:
             stack.pop()
 
-    usable = sum(d <= m for d in degrees)
+    usable = sum(map(len, leaves))
     bound = f"all {n_products} products of degree exactly {m} over {usable} generators"
     if uncovered:
         if checked != n_products:

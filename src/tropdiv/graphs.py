@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from operator import add, index, sub
 
 from .errors import (CertificateError, Disconnected, IndexOutOfRange,
                      InputError, SizeMismatch)
@@ -129,7 +129,7 @@ def build_graph(vertex_count, edges, labels=None):
 
 def _of_ints(cls, ints):
     """cls(ints) for a tuple of ints built in this package: the same type as
-    the public constructor gives, without its per-entry int() coercion.
+    the public constructor gives, without its per-entry operator.index check.
     cls is Divisor or RationalFunction, whose one field __match_args__ names;
     setting it as __post_init__ does keeps the instance as small."""
     obj = object.__new__(cls)
@@ -144,7 +144,7 @@ class Divisor:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
 
     @staticmethod
     def zero(n):
@@ -178,7 +178,8 @@ class Divisor:
         return _of_ints(Divisor, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __rmul__(self, k):
-        return _of_ints(Divisor, tuple(int(k) * c for c in self.coeffs))
+        k = index(k)
+        return _of_ints(Divisor, tuple(k * c for c in self.coeffs))
 
     def __neg__(self):
         return _of_ints(Divisor, tuple(-c for c in self.coeffs))
@@ -195,7 +196,7 @@ class RationalFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        object.__setattr__(self, "values", tuple(map(index, self.values)))
 
     def normalized(self):
         """Representative of the constant-shift orbit with minimum value 0."""
@@ -203,7 +204,7 @@ class RationalFunction:
         return _of_ints(RationalFunction, tuple(v - m for v in self.values))
 
     def shift(self, c):
-        c = int(c)
+        c = index(c)
         return _of_ints(RationalFunction, tuple(v + c for v in self.values))
 
 

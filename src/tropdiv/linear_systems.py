@@ -402,6 +402,8 @@ def oplus_cover(target_values, candidate_values):
     actually needed, or None.  All candidates are one run of lanes for
     _cover_lanes.
     """
+    if any(len(c) != len(target_values) for c in candidate_values):
+        raise SizeMismatch("candidate sized to a different graph")
     if not candidate_values:
         return None
     low = min(map(min, candidate_values))

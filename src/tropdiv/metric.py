@@ -139,7 +139,7 @@ class MetricDivisor:
                 on_graph = 0 <= p.index < model.edge_count and 0 < p.offset < lengths[p.index]
             if not on_graph:
                 raise InputError(f"point {p.describe()} is not on the graph")
-            merged[p] = merged.get(p, 0) + int(c)
+            merged[p] = merged.get(p, 0) + operator.index(c)
         cleaned = tuple(sorted((p, c) for p, c in merged.items() if c != 0))
         object.__setattr__(self, "items", cleaned)
 
@@ -183,7 +183,8 @@ class MetricDivisor:
                              self.items + tuple((p, -c) for p, c in other.items))
 
     def __rmul__(self, k):
-        return MetricDivisor(self.graph, tuple((p, int(k) * c) for p, c in self.items))
+        k = operator.index(k)
+        return MetricDivisor(self.graph, tuple((p, k * c) for p, c in self.items))
 
     def __neg__(self):
         return MetricDivisor(self.graph, tuple((p, -c) for p, c in self.items))
@@ -293,7 +294,7 @@ class PLFunction:
 
     def power(self, k):
         """Tropical k-th power: values scaled by the integer k."""
-        k = int(k)
+        k = operator.index(k)
         return self._map(lambda v: k * v)
 
     def odot(self, other):
@@ -355,6 +356,8 @@ class PLFunction:
 
 
 def rgd_member_metric(graph, divisor, f):
+    if divisor.graph != graph or f.graph != graph:
+        raise SizeMismatch("divisor or function on a different metric graph")
     return (f.div() + divisor).is_effective()
 
 
@@ -529,7 +532,11 @@ class MetricSubgraph:
         return not self.vertices and not self.intervals
 
     def is_all(self):
-        return self == MetricSubgraph.whole(self.graph)
+        # the whole graph's canonical form has each edge as the one interval
+        # [0, length], whose ends bring in every vertex of the connected model
+        lengths = self.graph.lengths
+        return len(self.intervals) == len(lengths) and all(
+            ivs == ((0, lengths[e]),) for e, ivs in self.intervals)
 
     def union(self, other):
         # the constructor merges each edge's intervals into canonical form
@@ -627,6 +634,8 @@ def metric_firing_subgraphs(graph, divisor, budget=DEFAULT_BUDGET):
     The family is therefore firing_subsets' on that graph, under its cap
     max_firing_vertices; every member is replayed through can_fire_metric.
     """
+    if divisor.graph != graph:
+        raise SizeMismatch("divisor on a different metric graph")
     if not divisor.is_effective():
         raise InputError("firing enumeration expects an effective divisor")
     cuts = {}
@@ -663,6 +672,8 @@ def metric_firing_subgraphs(graph, divisor, budget=DEFAULT_BUDGET):
 
 def is_extremal_metric(graph, divisor, f, budget=DEFAULT_BUDGET):
     """No two proper firing subgraphs may cover the whole graph."""
+    if divisor.graph != graph or f.graph != graph:
+        raise SizeMismatch("divisor or function on a different metric graph")
     e = divisor + f.div()
     if not e.is_effective():
         raise NotMember("f is not in R(Gamma, D)")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from math import prod
 
@@ -13,7 +14,7 @@ from tropdiv.graphs import (Divisor, RationalFunction, build_graph, canonical_di
 from tropdiv.intlinalg import frac_rank, smith_normal_form
 from tropdiv.linear_systems import RgdElement, is_extremal, rgd_enumerate
 from tropdiv.generators import (
-    GeneratorSet, MonoidCone, _count_products, _parallelepiped_points,
+    GeneratorSet, MonoidCone, _parallelepiped_points,
     build_gn, certify_basis, decompose, extreme_rays, graded_cone, hilbert_basis,
     min_generator_degrees, monoid_certificate, verify_gn)
 
@@ -471,11 +472,27 @@ def test_decompose_shift_invariance(theta):
         assert decompose(shifted, gens).generated == base
 
 
+def product_count(target, gens):
+    """decompose's count of the products of the target's degree over gens,
+    read from the budget detail it refuses them with."""
+    with pytest.raises(BudgetExceeded) as exc:
+        decompose(target, gens, Budget(max_products=-1))
+    return int(re.fullmatch(r"degree-exact products: (\d+) exceeds budget -1",
+                            str(exc.value))[1])
+
+
 def test_product_count_matches_enumeration(rng):
     for _ in range(60):
         degrees = [rng.randint(-1, 5) for _ in range(rng.randint(0, 7))]
         total = rng.randint(0, 9)
-        assert _count_products(degrees, total) == len(list(degree_exact_products(degrees, total)))
+        expected = len(list(degree_exact_products(degrees, total)))
+        gens = [RgdElement(d, RationalFunction((0,))) for d in degrees]
+        target = RgdElement(total, RationalFunction((0,)))
+        if total == 0:
+            # the one empty product, which decompose answers before counting
+            assert expected == 1 and decompose(target, gens).terms == ((0, ()),)
+        else:
+            assert product_count(target, gens) == expected
 
 
 def summed_products(gens, total):
@@ -637,22 +654,27 @@ def test_decompose_stops_inside_a_run_of_last_factors(k4):
     cert = assert_decompose_matches_oracle(target, gens, *summed_products(gens, 3))
     cert = decompose(target, gens)
     assert cert.terms == ((0, (0, 0, 0)), (0, (0, 0, 1)), (-1, (1, 1, 2)))
-    assert cert.products_checked == 32 and _count_products([1] * 5 + [2] * 15, 3) == 110
+    assert cert.products_checked == 32 and product_count(target, gens) == 110
 
 
 def test_decompose_checks_its_product_count():
-    # a negative answer must have walked every product it budgeted for
+    # a negative answer must have walked every product it counted: here
+    # every frame the walk pushes skips its first last factor
     proc = run_optimized(
+        "import inspect\n"
         "import tropdiv.generators as gen\n"
         "from tropdiv.errors import CertificateError\n"
-        "count = gen._count_products\n"
-        "gen._count_products = lambda degrees, total: count(degrees, total) + 1\n"
+        "source = inspect.getsource(gen.decompose)\n"
+        "push = 'bisect_left(leaves[left], nxt),'\n"
+        "if push not in source:\n"
+        "    raise SystemExit('the walk no longer pushes its leaf position')\n"
+        "exec(source.replace(push, 'bisect_left(leaves[left], nxt) + 1,'), vars(gen))\n"
         "try:\n"
         "    gen.verify_gn(3)\n"
         "except CertificateError as exc:\n"
         "    print(exc)\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "the product walk checked 406 of 407 products\n", proc.stdout
+    assert proc.stdout == "the product walk checked 371 of 406 products\n", proc.stdout
 
 
 def test_min_generator_degrees_theta(theta):

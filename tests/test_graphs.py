@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tropdiv.errors import Disconnected, IndexOutOfRange, SizeMismatch
@@ -119,13 +120,14 @@ def test_linear_equiv_recovers_principal_shifts(rng):
 
 
 def test_public_constructors_coerce_and_built_values_share_the_type(theta):
-    # Divisor and RationalFunction turn every entry into an int; the values
-    # the package builds from ints are the same types, equal and hashed alike
-    d = Divisor((True, 2.0))
-    f = RationalFunction((True, 2.0))
+    # Divisor and RationalFunction turn every integer entry (a bool, a numpy
+    # int) into an int; the values the package builds from ints are the same
+    # types, equal and hashed alike
+    d = Divisor((True, np.int64(2)))
+    f = RationalFunction((True, np.int64(2)))
     assert d.coeffs == f.values == (1, 2)
     divisors = [d + d, d - d, -d, 3 * d, ord_and_div(theta, f)]
-    functions = [f.normalized(), f.shift(2.0)]
+    functions = [f.normalized(), f.shift(np.int64(2))]
     assert divisors == [Divisor((2, 4)), Divisor((0, 0)), Divisor((-1, -2)),
                         Divisor((3, 6)), Divisor((3, -3))]
     assert functions == [RationalFunction((0, 1)), RationalFunction((3, 4))]

@@ -332,6 +332,12 @@ def test_oplus_cover_matches_the_argmin_oracle(rng, scale_by):
     assert answers == {True, False}
 
 
+def test_oplus_cover_rejects_candidates_of_another_size():
+    for cands in ([(0, 1, 2)], [(0, 1), (5,)]):
+        with pytest.raises(SizeMismatch):
+            oplus_cover((0, 1), cands)
+
+
 def test_scale_preserves_representative(theta):
     f = RationalFunction((0, 2))
     assert scale(5, f).normalized() == f

@@ -2,12 +2,13 @@ import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from tropdiv.budget import Budget
 from tropdiv.errors import (BudgetExceeded, CertificateError, EmptySubgraph,
                             InputError, InvalidPL, NotMember, SizeMismatch)
-from tropdiv.graphs import RationalFunction
+from tropdiv.graphs import Divisor, RationalFunction
 from tropdiv.metric import (
     MetricDivisor, MetricSubgraph, PLFunction, Point, Refinement,
     build_metric_graph, can_fire_metric, canonical_divisor_metric, cf_move,
@@ -468,6 +469,43 @@ def test_firing_refuses_a_divisor_or_subgraph_of_another_graph(mtheta, mk4):
         cf_move(mtheta, other, F(1, 10))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda g, d, f: linear_equiv_metric(g, d, d),
+    lambda g, d, f: Refinement(g, [d]).linear_equiv(d, d),
+    lambda g, d, f: can_fire_metric(g, d, subgraph_from_point(g, Point.vertex(0))),
+    lambda g, d, f: metric_firing_subgraphs(g, d),
+    lambda g, d, f: is_extremal_metric(g, d, f),
+    lambda g, d, f: rgd_member_metric(g, d, f),
+], ids=["linear_equiv_metric", "Refinement.linear_equiv", "can_fire_metric",
+        "metric_firing_subgraphs", "is_extremal_metric", "rgd_member_metric"])
+def test_metric_entry_points_refuse_a_divisor_of_another_graph(mtheta, mk4, entry):
+    # the divisor and the function agree with each other, on K_4, but not
+    # with the graph argument theta
+    with pytest.raises(SizeMismatch):
+        entry(mtheta, canonical_divisor_metric(mk4), PLFunction.constant(mk4, 0))
+
+
+def test_constructors_reject_non_integers(mtheta):
+    v0 = Point.vertex(0)
+    f = PLFunction.from_vertex_values(mtheta, [0, 1])
+    for build in (lambda: Divisor((F(3, 2),)),
+                  lambda: Divisor((1.7,)),
+                  lambda: Divisor.of(2, {0: 2.9}),
+                  lambda: 2.5 * Divisor((1, 1)),
+                  lambda: RationalFunction((0, 0.5)),
+                  lambda: RationalFunction((0, 1)).shift(F(1, 2)),
+                  lambda: MetricDivisor.of(mtheta, {v0: 1.5}),
+                  lambda: 1.5 * MetricDivisor.of(mtheta, {v0: 1}),
+                  lambda: f.power(1.5)):
+        with pytest.raises(TypeError):
+            build()
+    # numpy integers are integers
+    two = np.int64(2)
+    assert two * Divisor((1, 1)) == Divisor((2, 2))
+    assert MetricDivisor.of(mtheta, {v0: two}) == two * MetricDivisor.of(mtheta, {v0: 1})
+    assert f.power(two) == f.odot(f)
+
+
 def test_firing_search_budget_counts_subgraph_parts(mtheta):
     # [v0] and the three edge midpoints: 4 support points, and the complement
     # has 4 components (three half-edges at v0, and the star around v1); the
@@ -543,6 +581,7 @@ def test_constant_not_extremal_for_canonical(mtheta):
     assert not gap.contains_point(mtheta.point(0, F(2, 5)))
     whole = MetricSubgraph.whole(mtheta)
     assert whole.is_all() and whole.union(MetricSubgraph.build(mtheta)) == whole
+    assert not MetricSubgraph.build(mtheta, vertices=(0, 1)).is_all()
     assert not is_extremal_metric(mtheta, k, PLFunction.constant(mtheta, 0))
     l = F(1, 5)
     g = cf_move(mtheta, e01, l)
